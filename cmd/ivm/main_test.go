@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,44 +116,40 @@ func TestREPLExplain(t *testing.T) {
 	}
 }
 
-func TestOpenStoreMigratesLegacyLogFile(t *testing.T) {
-	// End-to-end migration: a -log file written by the pre-checksum
-	// Append (bare `[len u32][payload]` records) plus -program/-data must
-	// seed the store with every logged delta applied.
+func TestOpenStoreSeedsFromSnapshotFile(t *testing.T) {
+	// An empty store given -snapshot is seeded from the saved state,
+	// version included; once checkpointed, the store is the source of
+	// truth and the snapshot file is no longer read.
 	dir := t.TempDir()
-	programPath := filepath.Join(dir, "views.dl")
-	dataPath := filepath.Join(dir, "facts.dl")
-	logPath := filepath.Join(dir, "delta.log")
-	if err := os.WriteFile(programPath, []byte("hop(X,Y) :- link(X,Z), link(Z,Y).\n"), 0o644); err != nil {
+	snapPath := filepath.Join(dir, "views.gob")
+	v := testViews(t)
+	if _, err := v.ApplyScript("+link(c,d)."); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(dataPath, []byte("link(a,b). link(b,c).\n"), 0o644); err != nil {
+	if err := v.Save(snapPath); err != nil {
 		t.Fatal(err)
 	}
-	var legacy []byte
-	for _, s := range []string{"+link(c,d).", "+link(d,e)."} {
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(s)))
-		legacy = append(legacy, hdr[:]...)
-		legacy = append(legacy, s...)
-	}
-	if err := os.WriteFile(logPath, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	v, err := openStore(filepath.Join(dir, "state.store"), programPath, dataPath, "", logPath, nil)
+	storeDir := filepath.Join(dir, "state.store")
+	s, err := openStore(storeDir, "", "", snapPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v.Close()
-	for _, want := range [][2]string{{"a", "c"}, {"b", "d"}, {"c", "e"}} {
-		if !v.Has("hop", want[0], want[1]) {
-			t.Fatalf("hop(%s,%s) missing: legacy log deltas were not migrated", want[0], want[1])
-		}
+	if !s.Has("reach", "a", "d") || s.Snapshot().Version() != v.Snapshot().Version() {
+		t.Fatalf("seeded store: reach(a,d)=%v version=%d, want version %d",
+			s.Has("reach", "a", "d"), s.Snapshot().Version(), v.Snapshot().Version())
 	}
-	// The migrated contents live in the store's first checkpoint; the
-	// legacy log must be truncated so a downgrade cannot double-apply.
-	if st, err := os.Stat(logPath); err != nil || st.Size() != 0 {
-		t.Fatalf("legacy log must be truncated after migration (err=%v size=%d)", err, st.Size())
+	if err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := openStore(storeDir, "", "", snapPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if !s2.Has("reach", "a", "d") {
+		t.Fatal("reopened store lost the seeded state")
 	}
 }

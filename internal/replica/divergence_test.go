@@ -25,7 +25,7 @@ import (
 // fakePrimary scripts replication connections by hand.
 type fakePrimary struct {
 	t     *testing.T
-	state storage.ReplState
+	state []byte // the state record payload
 	base  uint64 // version of the state record
 	conns atomic.Int64
 	froms chan string // ?from= of each connection, "" when absent
@@ -65,12 +65,7 @@ func (f *fakePrimary) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case 1:
 		// Bootstrap: state at base, one good delta, then a gap — base+3
 		// with base+2 never sent. The follower must refuse to apply it.
-		payload, err := storage.EncodeReplState(f.state)
-		if err != nil {
-			f.t.Error(err)
-			return
-		}
-		f.send(w, storage.ReplRecord{Kind: storage.ReplKindState, Version: f.base, UnixNano: time.Now().UnixNano(), State: payload})
+		f.send(w, storage.ReplRecord{Kind: storage.ReplKindState, Version: f.base, UnixNano: time.Now().UnixNano(), State: f.state})
 		f.send(w, f.delta(f.base+1, "+link(c,d)."))
 		f.send(w, f.delta(f.base+3, "+link(e,f)."))
 		// Hold the connection open: the follower must cut it, not us.
@@ -103,18 +98,15 @@ func TestReplicaDivergenceGuard(t *testing.T) {
 	}
 	defer authority.Shutdown()
 	snap := authority.Snapshot()
-	st := snap.ReplicaState()
+	st, err := snap.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	fake := &fakePrimary{
-		t:    t,
-		base: snap.Version(),
-		state: storage.ReplState{
-			Program:   st.Program,
-			Hidden:    st.Hidden,
-			Facts:     st.Facts,
-			Strategy:  st.Strategy,
-			Semantics: st.Semantics,
-		},
+		t:     t,
+		base:  snap.Version(),
+		state: st,
 		froms: make(chan string, 8),
 	}
 	mux := http.NewServeMux()

@@ -32,7 +32,7 @@ import (
 // record at the real epoch.
 type fencePrimary struct {
 	t      *testing.T
-	state  storage.ReplState
+	state  []byte // the state record payload
 	base   uint64
 	conns  atomic.Int64
 	epochs chan string // ?epoch= of each connection
@@ -69,12 +69,7 @@ func (f *fencePrimary) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	switch conn {
 	case 1:
-		payload, err := storage.EncodeReplState(f.state)
-		if err != nil {
-			f.t.Error(err)
-			return
-		}
-		send(storage.ReplRecord{Kind: storage.ReplKindState, Epoch: 2, Version: f.base, UnixNano: time.Now().UnixNano(), State: payload})
+		send(storage.ReplRecord{Kind: storage.ReplKindState, Epoch: 2, Version: f.base, UnixNano: time.Now().UnixNano(), State: f.state})
 		send(delta(f.base+1, 2, "+link(c,d)."))
 		// The stale record: one epoch behind what the follower has seen.
 		// It must be fenced, not applied, and the follower cuts the
@@ -105,18 +100,15 @@ func TestReplicaFencesStaleEpoch(t *testing.T) {
 	authority := buildPrimaryViews(t)
 	defer authority.Shutdown()
 	snap := authority.Snapshot()
-	st := snap.ReplicaState()
+	st, err := snap.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	fake := &fencePrimary{
-		t:    t,
-		base: snap.Version(),
-		state: storage.ReplState{
-			Program:   st.Program,
-			Hidden:    st.Hidden,
-			Facts:     st.Facts,
-			Strategy:  st.Strategy,
-			Semantics: st.Semantics,
-		},
+		t:      t,
+		base:   snap.Version(),
+		state:  st,
 		epochs: make(chan string, 8),
 	}
 	mux := http.NewServeMux()

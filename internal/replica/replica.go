@@ -303,21 +303,10 @@ func (r *Replica) bootstrap(br *bufio.Reader) error {
 		case storage.ReplKindHeartbeat:
 			continue
 		case storage.ReplKindState:
-			st, err := storage.DecodeReplState(rec.State)
-			if err != nil {
-				return err
-			}
-			v, err := ivm.ViewsFromReplicaState(ivm.ReplicaState{
-				Program:   st.Program,
-				Hidden:    st.Hidden,
-				Facts:     st.Facts,
-				Strategy:  st.Strategy,
-				Semantics: st.Semantics,
-			}, r.opts.ExtraOptions...)
+			v, err := ivm.ViewsFromState(rec.State, r.opts.ExtraOptions...)
 			if err != nil {
 				return fmt.Errorf("replica: building views from state: %w", err)
 			}
-			v.SeedVersion(rec.Version)
 			r.v = v
 			r.admitEpoch(rec) // first record: adopts the leader's epoch
 			r.advance(rec)
@@ -447,22 +436,10 @@ func (r *Replica) tail(resp *http.Response, br *bufio.Reader) error {
 		case storage.ReplKindHeartbeat:
 			r.advance(rec)
 		case storage.ReplKindState:
-			st, err := storage.DecodeReplState(rec.State)
-			if err != nil {
-				r.opts.Logf("replica: bad state record: %v", err)
-				return nil // reconnect; a fresh stream re-sends it
-			}
-			if st.Program != r.v.ProgramSource() {
-				return fmt.Errorf("replica: primary's program changed; restart the follower to pick it up")
-			}
-			if err := r.v.ResetToReplicaState(ivm.ReplicaState{
-				Program:   st.Program,
-				Hidden:    st.Hidden,
-				Facts:     st.Facts,
-				Strategy:  st.Strategy,
-				Semantics: st.Semantics,
-			}, rec.Version); err != nil {
-				return fmt.Errorf("replica: applying state reset: %w", err)
+			if err := r.v.ResetToState(rec.State); err != nil {
+				// A program change on the primary lands here too: the
+				// follower must be restarted to rebuild from it.
+				return fmt.Errorf("replica: applying state reset (restart the follower to rebuild from the primary): %w", err)
 			}
 			r.cResets.Inc()
 			r.advance(rec)

@@ -113,14 +113,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	// returns its version — the follower's new resume point.
 	sendState := func() (uint64, bool) {
 		snap := s.v.Snapshot()
-		st := snap.ReplicaState()
-		payload, err := storage.EncodeReplState(storage.ReplState{
-			Program:   st.Program,
-			Hidden:    st.Hidden,
-			Facts:     st.Facts,
-			Strategy:  st.Strategy,
-			Semantics: st.Semantics,
-		})
+		payload, err := snap.MarshalState()
 		if err != nil {
 			s.opts.Logf("ivmd: replicate: encoding state: %v", err)
 			return 0, false
@@ -134,9 +127,9 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return snap.Version(), ok
 	}
 	// backfill bridges (cur, coversAfter] from the WAL; when the durable
-	// records cannot prove a contiguous bridge (legacy unstamped records,
-	// a checkpoint that truncated them, no store at all) it falls back to
-	// a full state transfer. Returns the new resume point.
+	// records cannot prove a contiguous bridge (a checkpoint truncated
+	// them, or there is no store at all) it falls back to a full state
+	// transfer. Returns the new resume point.
 	backfill := func(coversAfter uint64) (uint64, bool) {
 		recs, ok, err := s.v.CommittedRecordsAfter(cur)
 		if ok && err == nil && len(recs) > 0 && recs[0].Version == cur+1 {

@@ -7,6 +7,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -95,11 +96,11 @@ func TestReplicateBootstrapAndTail(t *testing.T) {
 	if got, want := rec.Version, v.Snapshot().Version(); got != want {
 		t.Fatalf("state version %d, want %d", got, want)
 	}
-	st, err := storage.DecodeReplState(rec.State)
+	st, err := storage.LoadAt(bytes.NewReader(rec.State))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Program != v.ProgramSource() {
+	if st.Program != v.ProgramSource() || st.BaseVersion != rec.Version {
 		t.Fatalf("state program %q, want the primary's", st.Program)
 	}
 

@@ -13,6 +13,7 @@ package storage
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -44,30 +45,12 @@ func LoadFenceEpoch(dir string) (uint64, error) {
 // SaveFenceEpoch durably records epoch in dir. The write is atomic:
 // a crash leaves either the old epoch or the new one, never garbage.
 func SaveFenceEpoch(dir string, epoch uint64) error {
-	path := filepath.Join(dir, fenceFileName)
-	tmp := path + ".tmp"
-	data := []byte(strconv.FormatUint(epoch, 10) + "\n")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	err := writeFileAtomic(filepath.Join(dir, fenceFileName), func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%d\n", epoch)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("storage: writing fence epoch: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: writing fence epoch: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: syncing fence epoch: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: closing fence epoch: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: installing fence epoch: %w", err)
-	}
-	return syncDir(dir)
+	return nil
 }

@@ -12,12 +12,14 @@ package storage
 // stamped with an older epoch — a revived pre-failover primary cannot
 // feed it stale deltas. Three kinds exist:
 //
-//   - 'D' (delta): payload is a framing-v2 WAL body (keyed or bare
+//   - 'D' (delta): payload is the keys+script body WAL payloads also
+//     carry (a u16 key count, each key as `len u16 | bytes`, then the
 //     delta script); version is the snapshot version the primary
 //     published when it applied the delta. Applying the stream of 'D'
 //     records in version order reproduces the primary bit-for-bit.
-//   - 'S' (state): payload is a JSON ReplState — the full program,
-//     facts, and configuration at version. Sent when a follower's
+//   - 'S' (state): payload is a State encoded by SaveAt — the base
+//     relations, program, hidden set and engine configuration at
+//     version, the same codec checkpoints use. Sent when a follower's
 //     resume point is too old to bridge with deltas; the follower
 //     replaces its state wholesale and resumes tailing from version.
 //   - 'H' (heartbeat): empty payload; version is the primary's current
@@ -26,9 +28,7 @@ package storage
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -58,39 +58,22 @@ type ReplRecord struct {
 	Epoch    uint64
 	Version  uint64
 	UnixNano int64
-	// Script and Keys are set for 'D' records (the framing-v2 payload).
+	// Script and Keys are set for 'D' records (the keys+script body).
 	Script string
 	Keys   []string
-	// State is the raw JSON ReplState payload of an 'S' record.
+	// State is the SaveAt-encoded payload of an 'S' record.
 	State []byte
 }
 
-// ReplState is the full-state payload of an 'S' record: everything a
-// follower needs to rebuild the primary's Views from scratch.
-type ReplState struct {
-	// Program is the view-definition source text.
-	Program string `json:"program"`
-	// Hidden lists internal auxiliary predicates filtered from
-	// user-facing change sets.
-	Hidden []string `json:"hidden,omitempty"`
-	// Facts is a delta script (`+pred(tuple) * n.` lines) inserting
-	// every stored base fact with its count.
-	Facts string `json:"facts"`
-	// Strategy and Semantics are the engine configuration names the
-	// follower must match for bit-identical derived state.
-	Strategy  string `json:"strategy,omitempty"`
-	Semantics string `json:"semantics,omitempty"`
-}
-
 // AppendReplRecord encodes rec and appends it to dst. For 'D' records
-// the payload is built from Script/Keys with the WAL framing-v2
+// the payload is built from Script/Keys with the WAL's keys+script
 // encoder; for 'S' records the State bytes are shipped as-is; 'H'
 // records carry no payload.
 func AppendReplRecord(dst []byte, rec ReplRecord) ([]byte, error) {
 	var payload []byte
 	switch rec.Kind {
 	case ReplKindDelta:
-		p, err := encodeKeyedPayload(rec.Script, rec.Keys)
+		p, err := appendKeysScript(nil, rec.Script, rec.Keys)
 		if err != nil {
 			return nil, err
 		}
@@ -165,45 +148,13 @@ func ReadReplRecord(r *bufio.Reader) (ReplRecord, error) {
 	}
 	switch kind {
 	case ReplKindDelta:
-		inner, err := decodeKeyedPayload(payload)
+		script, keys, err := decodeKeysScript(payload)
 		if err != nil {
 			return ReplRecord{}, err
 		}
-		rec.Script, rec.Keys = inner.Script, inner.Keys
+		rec.Script, rec.Keys = script, keys
 	case ReplKindState:
 		rec.State = payload
 	}
 	return rec, nil
-}
-
-// DecodeReplRecords decodes a byte buffer as a sequence of replication
-// records (the fuzz-target entry point). A clean EOF at a record
-// boundary ends the scan without error.
-func DecodeReplRecords(data []byte) ([]ReplRecord, error) {
-	r := bufio.NewReader(bytes.NewReader(data))
-	var out []ReplRecord
-	for {
-		rec, err := ReadReplRecord(r)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}
-
-// EncodeReplState renders st as the JSON payload of an 'S' record.
-func EncodeReplState(st ReplState) ([]byte, error) {
-	return json.Marshal(st)
-}
-
-// DecodeReplState parses an 'S' record payload.
-func DecodeReplState(data []byte) (ReplState, error) {
-	var st ReplState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return ReplState{}, fmt.Errorf("storage: decoding replication state payload: %w", err)
-	}
-	return st, nil
 }

@@ -6,19 +6,24 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"ivm/internal/value"
 )
 
 func TestReplRecordRoundTrip(t *testing.T) {
-	state, err := EncodeReplState(ReplState{
-		Program:   "p(X) :- q(X).",
-		Hidden:    []string{"__aux1"},
-		Facts:     "+q(1).\n+q(2) * 3.\n",
-		Strategy:  "counting",
-		Semantics: "set",
-	})
-	if err != nil {
-		t.Fatalf("EncodeReplState: %v", err)
+	// 'S' records carry the state codec's encoding verbatim.
+	var enc bytes.Buffer
+	if err := SaveAt(&enc, &State{
+		Base:        sampleDB(),
+		Program:     "p(X) :- q(X).",
+		Hidden:      []string{"__aux1"},
+		BaseVersion: 4,
+		Strategy:    "counting",
+		Semantics:   "set",
+	}); err != nil {
+		t.Fatalf("SaveAt: %v", err)
 	}
+	state := enc.Bytes()
 	records := []ReplRecord{
 		{Kind: ReplKindDelta, Epoch: 1, Version: 1, UnixNano: 123, Script: "+q(1)."},
 		{Kind: ReplKindDelta, Epoch: 1, Version: 2, UnixNano: 456, Script: "", Keys: []string{"k1", "k2"}},
@@ -27,6 +32,7 @@ func TestReplRecordRoundTrip(t *testing.T) {
 		{Kind: ReplKindHeartbeat, Epoch: 1<<63 + 7, Version: 4, UnixNano: 999},
 	}
 	var buf []byte
+	var err error
 	for _, rec := range records {
 		buf, err = AppendReplRecord(buf, rec)
 		if err != nil {
@@ -53,11 +59,11 @@ func TestReplRecordRoundTrip(t *testing.T) {
 		t.Fatalf("want clean io.EOF at stream end, got %v", err)
 	}
 
-	st, err := DecodeReplState(state)
+	st, err := LoadAt(bytes.NewReader(state))
 	if err != nil {
-		t.Fatalf("DecodeReplState: %v", err)
+		t.Fatalf("LoadAt: %v", err)
 	}
-	if st.Program != "p(X) :- q(X)." || st.Facts != "+q(1).\n+q(2) * 3.\n" ||
+	if st.Program != "p(X) :- q(X)." || st.BaseVersion != 4 || st.Base.Get("link").Count(value.T("b", "c")) != 3 ||
 		len(st.Hidden) != 1 || st.Strategy != "counting" || st.Semantics != "set" {
 		t.Fatalf("state round trip: %+v", st)
 	}

@@ -1,7 +1,8 @@
-// Package storage persists databases (relations with derivation counts)
-// and view programs: gob snapshots for full state, and an append-only,
-// length-prefixed delta log that can be replayed on top of a snapshot —
-// the usual checkpoint + log pairing.
+// Package storage persists view state: one full-state codec (State,
+// written by SaveAt and read by LoadAt) shared by store checkpoints,
+// Views.Save and replication state records, and the managed Store — a
+// directory of CRC-footed checkpoints plus one checksummed,
+// epoch-stamped write-ahead log replayed on top of the newest one.
 package storage
 
 import (
@@ -14,14 +15,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"unicode/utf8"
 
 	"ivm/internal/eval"
 	"ivm/internal/relation"
 	"ivm/internal/value"
 )
 
-// castagnoli is the CRC32C table shared by the delta log and the WAL.
+// castagnoli is the CRC32C table shared by snapshots, the WAL and the
+// replication stream.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.
@@ -39,6 +40,42 @@ func syncDir(dir string) error {
 		err = cerr
 	}
 	return err
+}
+
+// upgradeStep is the remedy every pre-cutoff format error names.
+const upgradeStep = "shut the store down cleanly with the previous release (leaving a checkpoint and an empty WAL), or re-save the file with it, then open it with this one"
+
+// FormatError reports on-disk state written in a format this release no
+// longer reads. Recovery refuses such a store and leaves every file
+// untouched.
+type FormatError struct {
+	Path   string
+	Reason string
+}
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("storage: %s: %s; %s", e.Path, e.Reason, upgradeStep)
+}
+
+// State is the full state of a views instance, and the one encoding of
+// it: the stored base relations with their counts, the program text,
+// the hidden-predicate set, the published version the state
+// corresponds to, and the engine configuration names. Derived relations
+// are not part of it — they are fixed by the base relations and the
+// program, so every reader rematerializes them.
+type State struct {
+	// Base holds the stored base relations. A writer may pass a database
+	// that also holds derived relations; they are persisted as given,
+	// and readers discard them.
+	Base        *eval.DB
+	Program     string
+	Hidden      []string
+	BaseVersion uint64
+	// Strategy and Semantics name the engine configuration a reader
+	// must adopt for derived state to come out identical. Empty means
+	// "not recorded": the reader keeps its own configuration.
+	Strategy  string
+	Semantics string
 }
 
 // scalar is the gob-encodable image of a value.Value.
@@ -79,42 +116,33 @@ type row struct {
 	Count int64
 }
 
-// snapshot is the on-disk image of a database plus its view program.
+// snapshot is the gob image of a State.
 type snapshot struct {
-	Version   int
-	Program   string
-	Relations map[string][]row
-	// Hidden lists internal auxiliary predicates (version 2+) that the
-	// front end filters out of user-facing change sets — e.g. the helper
-	// predicates SQL GROUP BY translation generates. Version-1 snapshots
-	// decode with an empty list (gob leaves absent fields zero).
-	Hidden []string
-	// BaseVersion (version 3+) is the published snapshot version the
-	// saved state corresponds to, so a restarted process — or a replica
-	// bootstrapping from a checkpoint — resumes the version counter
-	// where the writer left it. Older snapshots decode as 0.
+	Version     int
+	Program     string
+	Relations   map[string][]row
+	Hidden      []string
 	BaseVersion uint64
+	Strategy    string
+	Semantics   string
 }
 
+// snapshotVersion is the only snapshot version this release reads.
 const snapshotVersion = 3
 
-// Save is SaveAt without a base-version stamp.
-func Save(w io.Writer, db *eval.DB, program string, hidden []string) error {
-	return SaveAt(w, db, program, hidden, 0)
-}
-
-// SaveAt writes a gob snapshot of db (every relation, with counts), the
-// program text, the hidden-predicate set, and the base version to w.
-func SaveAt(w io.Writer, db *eval.DB, program string, hidden []string, baseVersion uint64) error {
+// SaveAt writes st to w.
+func SaveAt(w io.Writer, st *State) error {
 	snap := snapshot{
 		Version:     snapshotVersion,
-		Program:     program,
+		Program:     st.Program,
 		Relations:   make(map[string][]row),
-		Hidden:      append([]string(nil), hidden...),
-		BaseVersion: baseVersion,
+		Hidden:      append([]string(nil), st.Hidden...),
+		BaseVersion: st.BaseVersion,
+		Strategy:    st.Strategy,
+		Semantics:   st.Semantics,
 	}
-	for _, pred := range db.Preds() {
-		rel := db.Get(pred)
+	for _, pred := range st.Base.Preds() {
+		rel := st.Base.Get(pred)
 		rows := make([]row, 0, rel.Len())
 		for _, r := range rel.SortedRows() {
 			t := make([]scalar, len(r.Tuple))
@@ -128,23 +156,17 @@ func SaveAt(w io.Writer, db *eval.DB, program string, hidden []string, baseVersi
 	return gob.NewEncoder(w).Encode(&snap)
 }
 
-// Load reads a snapshot, returning the database, the program text, and
-// the hidden-predicate set. Every snapshot version from 1 (no hidden
-// set) up is accepted.
-func Load(r io.Reader) (*eval.DB, string, []string, error) {
-	db, program, hidden, _, err := LoadAt(r)
-	return db, program, hidden, err
-}
-
-// LoadAt is Load plus the base version the snapshot was stamped with
-// (0 for snapshots written before version stamping).
-func LoadAt(r io.Reader) (*eval.DB, string, []string, uint64, error) {
+// LoadAt reads a State written by SaveAt.
+func LoadAt(r io.Reader) (*State, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, "", nil, 0, fmt.Errorf("storage: decoding snapshot: %w", err)
+		return nil, fmt.Errorf("storage: decoding snapshot: %w", err)
 	}
-	if snap.Version < 1 || snap.Version > snapshotVersion {
-		return nil, "", nil, 0, fmt.Errorf("storage: unsupported snapshot version %d", snap.Version)
+	if snap.Version < snapshotVersion {
+		return nil, &FormatError{Path: "snapshot", Reason: fmt.Sprintf("snapshot version %d predates the supported version %d", snap.Version, snapshotVersion)}
+	}
+	if snap.Version > snapshotVersion {
+		return nil, fmt.Errorf("storage: snapshot version %d was written by a newer release (this one reads version %d)", snap.Version, snapshotVersion)
 	}
 	db := eval.NewDB()
 	for pred, rows := range snap.Relations {
@@ -154,7 +176,7 @@ func LoadAt(r io.Reader) (*eval.DB, string, []string, uint64, error) {
 			for i, s := range rw.Tuple {
 				v, err := s.value()
 				if err != nil {
-					return nil, "", nil, 0, err
+					return nil, err
 				}
 				t[i] = v
 			}
@@ -168,293 +190,91 @@ func LoadAt(r io.Reader) (*eval.DB, string, []string, uint64, error) {
 		}
 		db.Put(pred, rel)
 	}
-	return db, snap.Program, snap.Hidden, snap.BaseVersion, nil
+	return &State{
+		Base:        db,
+		Program:     snap.Program,
+		Hidden:      snap.Hidden,
+		BaseVersion: snap.BaseVersion,
+		Strategy:    snap.Strategy,
+		Semantics:   snap.Semantics,
+	}, nil
 }
 
-// snapFooterMagic marks a snapshot file carrying a whole-file CRC32C
-// footer (`magic | crc32c(body)`). The footer sits after the gob value,
-// where decoders never look, so snapshots stay readable by older code
-// and older snapshots (no footer) stay readable by newer code.
+// snapFooterMagic opens the whole-file CRC32C footer every snapshot
+// file ends with (`magic | crc32c(body)`).
 var snapFooterMagic = [4]byte{'I', 'V', 'S', '1'}
 
 const snapFooterSize = 8
 
-// crcWriter tees writes into a running CRC32C.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
-	return n, err
-}
-
-// VerifySnapshotFile checks the whole-file checksum footer written by
-// SaveFile. Gob decoding alone misses in-place corruption that still
-// happens to parse — a flipped bit in a count, say. Legacy snapshots
-// without a footer pass; decoding is their only integrity check.
-func VerifySnapshotFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(data) < snapFooterSize || !bytes.Equal(data[len(data)-snapFooterSize:len(data)-4], snapFooterMagic[:]) {
-		return nil
-	}
-	body := data[:len(data)-snapFooterSize]
-	want := binary.BigEndian.Uint32(data[len(data)-4:])
-	if got := crc32.Checksum(body, castagnoli); got != want {
-		return fmt.Errorf("storage: snapshot %s checksum mismatch (%08x != %08x)", path, got, want)
-	}
-	return nil
-}
-
-// SaveFile writes a snapshot to path, atomically and durably: the temp
-// file is fsynced before the rename and the parent directory is fsynced
-// after it, so a crash at any point leaves either the old snapshot or
-// the complete new one — never a missing or empty file. A checksum
-// footer covers the whole body so in-place corruption is detected at
-// load time.
-func SaveFile(path string, db *eval.DB, program string, hidden []string) error {
-	return SaveFileAt(path, db, program, hidden, 0)
-}
-
-// SaveFileAt is SaveFile with a base-version stamp (see SaveAt).
-func SaveFileAt(path string, db *eval.DB, program string, hidden []string, baseVersion uint64) error {
+// writeFileAtomic writes path atomically and durably: write fills a
+// temp file, which is fsynced before the rename, and the parent
+// directory is fsynced after it, so a crash at any point leaves either
+// the old file or the complete new one — never a missing or torn one.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
 	bw := bufio.NewWriter(f)
-	cw := &crcWriter{w: bw}
-	if err := SaveAt(cw, db, program, hidden, baseVersion); err != nil {
-		return fail(err)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	var footer [snapFooterSize]byte
-	copy(footer[:4], snapFooterMagic[:])
-	binary.BigEndian.PutUint32(footer[4:], cw.crc)
-	if _, err := bw.Write(footer[:]); err != nil {
-		return fail(err)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return syncDir(filepath.Dir(path))
 }
 
-// LoadFile reads a snapshot from path.
-func LoadFile(path string) (*eval.DB, string, []string, error) {
-	db, program, hidden, _, err := LoadFileAt(path)
-	return db, program, hidden, err
+// SaveFileAt writes st to path atomically (see writeFileAtomic),
+// followed by a checksum footer over the whole body so in-place
+// corruption is detected at load time.
+func SaveFileAt(path string, st *State) error {
+	return writeFileAtomic(path, func(w io.Writer) error {
+		h := crc32.New(castagnoli)
+		if err := SaveAt(io.MultiWriter(w, h), st); err != nil {
+			return err
+		}
+		var footer [snapFooterSize]byte
+		copy(footer[:4], snapFooterMagic[:])
+		binary.BigEndian.PutUint32(footer[4:], h.Sum32())
+		_, err := w.Write(footer[:])
+		return err
+	})
 }
 
-// LoadFileAt is LoadFile plus the snapshot's base version (see LoadAt).
-func LoadFileAt(path string) (*eval.DB, string, []string, uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, "", nil, 0, err
-	}
-	defer f.Close()
-	return LoadAt(bufio.NewReader(f))
-}
-
-// Log is an append-only log of delta scripts (the textual +fact/-fact
-// form). Each record is `[len u32][crc32c u32][payload]`; the length
-// lets replay detect partially written tails, the checksum lets it
-// reject corrupt records instead of feeding garbage to the parser.
-// Replay also recognizes the legacy pre-checksum record format
-// (`[len u32][payload]`) so logs written before the format change
-// still migrate — Append always writes the current format, so a legacy
-// log must be replayed and truncated (as the cmd/ivm migration does)
-// before new records are appended to it.
-type Log struct {
-	f *os.File
-}
-
-// logHeaderSize is the per-record header: big-endian length + CRC32C.
-// legacyLogHeaderSize is the pre-checksum header: length only.
-const (
-	logHeaderSize       = 8
-	legacyLogHeaderSize = 4
-)
-
-// OpenLog opens (creating if needed) a delta log for appending.
-func OpenLog(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+// LoadFileAt reads a snapshot file written by SaveFileAt, checking its
+// checksum footer before decoding: gob decoding alone misses in-place
+// corruption that still parses, such as a flipped bit in a count. A
+// file without the footer, or of an older snapshot version, predates
+// the current format and fails with a *FormatError.
+func LoadFileAt(path string) (*State, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Log{f: f}, nil
+	if len(data) < snapFooterSize || !bytes.Equal(data[len(data)-snapFooterSize:len(data)-4], snapFooterMagic[:]) {
+		return nil, &FormatError{Path: path, Reason: "snapshot has no checksum footer"}
+	}
+	body := data[:len(data)-snapFooterSize]
+	want := binary.BigEndian.Uint32(data[len(data)-4:])
+	if got := crc32.Checksum(body, castagnoli); got != want {
+		return nil, fmt.Errorf("storage: snapshot %s checksum mismatch (%08x != %08x)", path, got, want)
+	}
+	st, err := LoadAt(bytes.NewReader(body))
+	if fe, ok := err.(*FormatError); ok {
+		fe.Path = path
+	}
+	return st, err
 }
-
-// Append durably appends one delta script: a single write of
-// header+payload followed by fsync.
-func (l *Log) Append(script string) error {
-	rec := make([]byte, logHeaderSize+len(script))
-	binary.BigEndian.PutUint32(rec[0:4], uint32(len(script)))
-	binary.BigEndian.PutUint32(rec[4:8], crc32.Checksum([]byte(script), castagnoli))
-	copy(rec[logHeaderSize:], script)
-	if _, err := l.f.Write(rec); err != nil {
-		return err
-	}
-	return l.f.Sync()
-}
-
-// CorruptRecordError reports a record that is damaged in place: its
-// checksum fails (or its length header is absurd) even though the log
-// continues past it, so the damage cannot be a crash-truncated tail.
-type CorruptRecordError struct {
-	Offset int64
-	Reason string
-}
-
-func (e *CorruptRecordError) Error() string {
-	return fmt.Sprintf("storage: corrupt log record at offset %d: %s", e.Offset, e.Reason)
-}
-
-// Replay invokes fn for every complete record from the start of the log.
-// A truncated or checksum-failing final record terminates replay without
-// error (a crash mid-append; the record was never acknowledged). A bad
-// record with further data behind it is in-place corruption and fails
-// loudly with a *CorruptRecordError, delivering no records. Record
-// lengths are bounded by the bytes actually remaining in the file, so a
-// garbage header cannot force a multi-gigabyte allocation.
-//
-// The record format is detected: when the current checksummed layout
-// yields no valid record from a non-empty file (or fails mid-file), the
-// legacy pre-checksum `[len u32][payload]` layout is tried, so logs
-// written before the format change still replay for migration.
-func (l *Log) Replay(fn func(script string) error) error {
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	data, err := io.ReadAll(bufio.NewReader(l.f))
-	if err != nil {
-		return err
-	}
-	scripts, err := scanLog(data)
-	if err != nil {
-		return err
-	}
-	for _, s := range scripts {
-		if err := fn(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scanLog parses raw log bytes, detecting the record format. The
-// checksummed format is authoritative: one CRC-valid record proves it (a
-// legacy record passing the check by accident is a 2^-32 event). Only
-// when it yields nothing from a non-empty file — a single-record legacy
-// log reads as one overshooting header — or trips over mid-file
-// corruption — misaligned legacy records fail their CRCs — is the
-// legacy layout tried; it is accepted when records chain through the
-// file (modulo a torn tail) and every payload is text, which garbage
-// reinterpretations of checksummed records essentially never are (the
-// CRC bytes land inside the payload).
-func scanLog(data []byte) ([]string, error) {
-	scripts, err := scanChecksummedLog(data)
-	if len(scripts) > 0 {
-		return scripts, err
-	}
-	if len(data) > 0 {
-		if legacy, ok := scanLegacyLog(data); ok {
-			return legacy, nil
-		}
-	}
-	return scripts, err
-}
-
-func scanChecksummedLog(data []byte) ([]string, error) {
-	var scripts []string
-	size := int64(len(data))
-	offset := int64(0)
-	for offset < size {
-		if size-offset < logHeaderSize {
-			return scripts, nil // torn header: ignore tail
-		}
-		n := int64(binary.BigEndian.Uint32(data[offset:]))
-		want := binary.BigEndian.Uint32(data[offset+4:])
-		if n > size-offset-logHeaderSize {
-			// The header promises more bytes than the file holds. If the
-			// record would end exactly at a torn tail this is a crashed
-			// append; a length that overshoots the file with no way to
-			// resync is indistinguishable, so both end the scan here.
-			return scripts, nil
-		}
-		payload := data[offset+logHeaderSize : offset+logHeaderSize+n]
-		end := offset + logHeaderSize + n
-		if got := crc32.Checksum(payload, castagnoli); got != want {
-			if end == size {
-				return scripts, nil // torn or corrupted final record: never acknowledged
-			}
-			return scripts, &CorruptRecordError{Offset: offset, Reason: fmt.Sprintf("crc mismatch (stored %08x, computed %08x)", want, got)}
-		}
-		scripts = append(scripts, string(payload))
-		offset = end
-	}
-	return scripts, nil
-}
-
-// scanLegacyLog parses the pre-checksum `[len u32][payload]` layout,
-// accepting it only when at least one complete record chains cleanly
-// (a final record overshooting EOF is a torn tail and is dropped) and
-// every payload is valid UTF-8 — legacy delta scripts are text.
-func scanLegacyLog(data []byte) ([]string, bool) {
-	var scripts []string
-	size := int64(len(data))
-	offset := int64(0)
-	for offset < size {
-		if size-offset < legacyLogHeaderSize {
-			break // torn header
-		}
-		n := int64(binary.BigEndian.Uint32(data[offset:]))
-		if n > size-offset-legacyLogHeaderSize {
-			break // torn tail
-		}
-		payload := data[offset+legacyLogHeaderSize : offset+legacyLogHeaderSize+n]
-		if !utf8.Valid(payload) {
-			return nil, false
-		}
-		scripts = append(scripts, string(payload))
-		offset += legacyLogHeaderSize + n
-	}
-	return scripts, len(scripts) > 0
-}
-
-// Truncate discards all logged records — called after a snapshot is
-// taken, since the snapshot supersedes the log (checkpointing). The
-// truncation is fsynced so it cannot reorder after later writes.
-func (l *Log) Truncate() error {
-	if err := l.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	return l.f.Sync()
-}
-
-// Close closes the underlying file.
-func (l *Log) Close() error { return l.f.Close() }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"os"
@@ -30,25 +29,33 @@ func sampleDB() *eval.DB {
 func TestSnapshotRoundTrip(t *testing.T) {
 	db := sampleDB()
 	var buf bytes.Buffer
-	if err := Save(&buf, db, "hop(X,Y) :- link(X,Z), link(Z,Y).", []string{"aux_1", "aux_2"}); err != nil {
+	want := &State{
+		Base:        db,
+		Program:     "hop(X,Y) :- link(X,Z), link(Z,Y).",
+		Hidden:      []string{"aux_1", "aux_2"},
+		BaseVersion: 17,
+		Strategy:    "dred",
+		Semantics:   "duplicate",
+	}
+	if err := SaveAt(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	got, prog, hidden, err := Load(&buf)
+	got, err := LoadAt(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog != "hop(X,Y) :- link(X,Z), link(Z,Y)." {
-		t.Fatalf("program: %q", prog)
+	if got.Program != want.Program || got.BaseVersion != 17 || got.Strategy != "dred" || got.Semantics != "duplicate" {
+		t.Fatalf("state: %+v", got)
 	}
-	if len(hidden) != 2 || hidden[0] != "aux_1" || hidden[1] != "aux_2" {
-		t.Fatalf("hidden: %v", hidden)
+	if len(got.Hidden) != 2 || got.Hidden[0] != "aux_1" || got.Hidden[1] != "aux_2" {
+		t.Fatalf("hidden: %v", got.Hidden)
 	}
 	for _, pred := range []string{"link", "hop"} {
-		if !relation.Equal(db.Get(pred), got.Get(pred)) {
-			t.Fatalf("%s: %v vs %v", pred, db.Get(pred), got.Get(pred))
+		if !relation.Equal(db.Get(pred), got.Base.Get(pred)) {
+			t.Fatalf("%s: %v vs %v", pred, db.Get(pred), got.Base.Get(pred))
 		}
 	}
-	if got.Get("empty") == nil || got.Get("empty").Len() != 0 {
+	if got.Base.Get("empty") == nil || got.Base.Get("empty").Len() != 0 {
 		t.Fatal("empty relation must survive")
 	}
 }
@@ -56,35 +63,36 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.gob")
-	if err := SaveFile(path, sampleDB(), "p.", nil); err != nil {
+	if err := SaveFileAt(path, &State{Base: sampleDB(), Program: "p."}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatal("temp file must be renamed away")
 	}
-	db, prog, hidden, err := LoadFile(path)
+	st, err := LoadFileAt(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog != "p." || db.Get("link").Count(value.T("b", "c")) != 3 {
+	if st.Program != "p." || st.Base.Get("link").Count(value.T("b", "c")) != 3 {
 		t.Fatal("file round trip")
 	}
-	if len(hidden) != 0 {
-		t.Fatalf("hidden: %v", hidden)
+	if len(st.Hidden) != 0 {
+		t.Fatalf("hidden: %v", st.Hidden)
 	}
 }
 
 func TestSnapshotChecksumFooter(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.gob")
-	if err := SaveFile(path, sampleDB(), "p.", nil); err != nil {
+	if err := SaveFileAt(path, &State{Base: sampleDB(), Program: "p."}); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifySnapshotFile(path); err != nil {
+	if _, err := LoadFileAt(path); err != nil {
 		t.Fatalf("fresh snapshot must verify: %v", err)
 	}
 	// In-place corruption that gob decoding might survive must still be
-	// caught by the whole-file checksum.
+	// caught by the whole-file checksum — as damage, not as an old
+	// format.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -93,52 +101,45 @@ func TestSnapshotChecksumFooter(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifySnapshotFile(path); err == nil {
-		t.Fatal("bit-flipped snapshot must fail verification")
+	var fe *FormatError
+	if _, err := LoadFileAt(path); err == nil || errors.As(err, &fe) {
+		t.Fatalf("bit-flipped snapshot must fail verification as damage, got %v", err)
 	}
-	// A legacy snapshot (no footer) passes verification; decoding is its
-	// only integrity check.
+	// A snapshot without the footer predates the current format.
 	var buf bytes.Buffer
-	if err := Save(&buf, sampleDB(), "p.", nil); err != nil {
+	if err := SaveAt(&buf, &State{Base: sampleDB(), Program: "p."}); err != nil {
 		t.Fatal(err)
 	}
-	legacy := filepath.Join(dir, "legacy.gob")
-	if err := os.WriteFile(legacy, buf.Bytes(), 0o644); err != nil {
+	footerless := filepath.Join(dir, "footerless.gob")
+	if err := os.WriteFile(footerless, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifySnapshotFile(legacy); err != nil {
-		t.Fatalf("legacy snapshot must pass: %v", err)
-	}
-	if _, _, _, err := LoadFile(legacy); err != nil {
-		t.Fatalf("legacy snapshot must load: %v", err)
+	if _, err := LoadFileAt(footerless); !errors.As(err, &fe) {
+		t.Fatalf("footerless snapshot must fail with a *FormatError, got %v", err)
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, _, _, err := Load(bytes.NewBufferString("not a gob stream")); err == nil {
+	if _, err := LoadAt(bytes.NewBufferString("not a gob stream")); err == nil {
 		t.Fatal("garbage must be rejected")
 	}
 }
 
-func TestLoadAcceptsVersion1(t *testing.T) {
-	// Version-1 snapshots predate the hidden-predicate set; they must
-	// keep loading, with an empty hidden list.
-	var buf bytes.Buffer
-	snap := snapshot{Version: 1, Program: "p(X) :- q(X).", Relations: map[string][]row{
-		"q": {{Tuple: []scalar{{Kind: 0, I: 7}}, Count: 1}},
-	}}
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	db, prog, hidden, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog != "p(X) :- q(X)." || len(hidden) != 0 {
-		t.Fatalf("prog=%q hidden=%v", prog, hidden)
-	}
-	if db.Get("q").Count(value.T(int64(7))) != 1 {
-		t.Fatal("version-1 relations must load")
+func TestLoadRefusesPreCutoffVersions(t *testing.T) {
+	// Version-1 and version-2 snapshots predate the base-version stamp;
+	// they are refused with the upgrade step rather than loaded.
+	for _, version := range []int{1, 2} {
+		var buf bytes.Buffer
+		snap := snapshot{Version: version, Program: "p(X) :- q(X).", Relations: map[string][]row{
+			"q": {{Tuple: []scalar{{Kind: 0, I: 7}}, Count: 1}},
+		}}
+		if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		var fe *FormatError
+		if _, err := LoadAt(&buf); !errors.As(err, &fe) {
+			t.Fatalf("version %d: want *FormatError, got %v", version, err)
+		}
 	}
 }
 
@@ -148,76 +149,93 @@ func TestLoadRejectsFutureVersion(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Load(&buf); err == nil {
+	if _, err := LoadAt(&buf); err == nil {
 		t.Fatal("future snapshot version must be rejected")
 	}
 }
 
-func TestLogAppendReplay(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "delta.log")
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
+// walRecords renders scripts as WAL records of epoch 1, exactly as
+// AppendVersionedAsync writes them (versions 1, 2, ...).
+func walRecords(t *testing.T, scripts ...string) []byte {
+	t.Helper()
+	var out []byte
+	for i, s := range scripts {
+		payload, err := encodeWALPayload(uint64(i+1), s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, encodeWALRecord(1, uint64(i+1), payload)...)
 	}
-	scripts := []string{"+link(a,b).", "-link(a,b).", "+link(x,y). +link(y,z)."}
-	for _, s := range scripts {
-		if err := l.Append(s); err != nil {
+	return out
+}
+
+// scanAll runs the shared WAL scanner over record bytes.
+func scanAll(t *testing.T, data []byte) (recs []WALRecord, end int64, torn bool, err error) {
+	t.Helper()
+	end, torn, err = scanWAL(bytes.NewReader(data), 0, int64(len(data)), func(e walEntry) error {
+		rec, err := decodeWALPayload(e.payload)
+		if err != nil {
+			return err
+		}
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, end, torn, err
+}
+
+func TestLogAppendReplay(t *testing.T) {
+	// The scanner reads back exactly what the store appended.
+	dir := t.TempDir()
+	s := openTestStore(t, dir, StoreOptions{})
+	want := []WALRecord{
+		{Script: "+link(a,b).", Keys: []string{"k1"}, Version: 2},
+		{Script: "-link(a,b).", Version: 3},
+		{Script: "+link(x,y). +link(y,z).", Keys: []string{"k2", "k3"}, Version: 4},
+	}
+	for _, r := range want {
+		wait, err := s.AppendVersionedAsync(r.Version, r.Script, r.Keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	l2, err := OpenLog(path)
+	data, err := os.ReadFile(walPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
-	var got []string
-	if err := l2.Replay(func(s string) error {
-		got = append(got, s)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if !bytes.HasPrefix(data, walFileMagic[:]) {
+		t.Fatalf("wal must open with the file magic: %q", data[:min(len(data), 8)])
 	}
-	if len(got) != 3 || got[0] != scripts[0] || got[2] != scripts[2] {
-		t.Fatalf("replay: %v", got)
+	got, end, torn, err := scanAll(t, data[walMagicSize:])
+	if err != nil || torn || end != int64(len(data))-walMagicSize {
+		t.Fatalf("scan: end=%d torn=%v err=%v", end, torn, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("replay: %+v", got)
+	}
+	for i := range want {
+		if got[i].Script != want[i].Script || got[i].Version != want[i].Version || len(got[i].Keys) != len(want[i].Keys) {
+			t.Fatalf("record %d: %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 
 func TestLogIgnoresTruncatedTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "delta.log")
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
+	// A crash mid-append: a header promising more bytes than exist.
+	data := walRecords(t, "+p(a).")
+	good := int64(len(data))
+	data = append(data, encodeWALRecord(1, 2, make([]byte, 200))[:walHeaderSize+2]...)
+	got, end, torn, err := scanAll(t, data)
+	if err != nil || !torn || end != good {
+		t.Fatalf("scan: end=%d torn=%v err=%v", end, torn, err)
 	}
-	if err := l.Append("+p(a)."); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	// Simulate a crash mid-append: a header promising more bytes than
-	// exist.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0, 0, 0, 200, 'x', 'y'})
-	f.Close()
-
-	l2, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	var got []string
-	if err := l2.Replay(func(s string) error { got = append(got, s); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "+p(a)." {
-		t.Fatalf("replay with torn tail: %v", got)
+	if len(got) != 1 || got[0].Script != "+p(a)." {
+		t.Fatalf("replay with torn tail: %+v", got)
 	}
 }
 
@@ -225,216 +243,140 @@ func TestReplayBoundsLengthHeader(t *testing.T) {
 	// A garbage header claiming ~4 GiB must not allocate 4 GiB: the
 	// length is bounded by the bytes actually present, and the tail is
 	// treated as torn.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "delta.log")
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
+	data := walRecords(t, "+p(a).")
+	junk := make([]byte, walHeaderSize+4)
+	copy(junk[16:], []byte{0xff, 0xff, 0xff, 0xf0})
+	data = append(data, junk...)
+	got, _, torn, err := scanAll(t, data)
+	if err != nil || !torn {
+		t.Fatalf("scan: torn=%v err=%v", torn, err)
 	}
-	if err := l.Append("+p(a)."); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0xff, 0xff, 0xff, 0xf0, 1, 2, 3, 4, 'j', 'u', 'n', 'k'})
-	f.Close()
-
-	l2, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	var got []string
-	if err := l2.Replay(func(s string) error { got = append(got, s); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "+p(a)." {
-		t.Fatalf("replay: %v", got)
+	if len(got) != 1 || got[0].Script != "+p(a)." {
+		t.Fatalf("replay: %+v", got)
 	}
 }
 
 func TestReplayFailsLoudlyOnMidLogCorruption(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "delta.log")
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append("+p(a)."); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append("+p(b)."); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
 	// Flip a payload bit of the FIRST record: a later record exists, so
-	// this cannot be a torn tail and replay must fail loudly.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	// this cannot be a torn tail and the scan must fail loudly.
+	data := walRecords(t, "+p(a).", "+p(b).")
+	data[walHeaderSize] ^= 0x01
+	got, _, _, err := scanAll(t, data)
+	var ce *CorruptWALError
+	if !errors.As(err, &ce) || ce.Offset != 0 {
+		t.Fatalf("want CorruptWALError at offset 0, got %v", err)
 	}
-	data[logHeaderSize] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	err = l2.Replay(func(string) error { return nil })
-	var ce *CorruptRecordError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want CorruptRecordError, got %v", err)
+	if len(got) != 0 {
+		t.Fatalf("no record may be delivered before the damage: %+v", got)
 	}
 }
 
 func TestReplayDropsCorruptFinalRecord(t *testing.T) {
 	// A checksum failure on the very last record is indistinguishable
 	// from a torn append; it is dropped without error.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "delta.log")
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append("+p(a)."); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append("+p(b)."); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := walRecords(t, "+p(a).", "+p(b).")
 	data[len(data)-1] ^= 0x80
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	got, _, torn, err := scanAll(t, data)
+	if err != nil || !torn {
+		t.Fatalf("scan: torn=%v err=%v", torn, err)
 	}
-
-	l2, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	var got []string
-	if err := l2.Replay(func(s string) error { got = append(got, s); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "+p(a)." {
-		t.Fatalf("replay: %v", got)
+	if len(got) != 1 || got[0].Script != "+p(a)." {
+		t.Fatalf("replay: %+v", got)
 	}
 }
 
 func TestReplayThenAppendContinues(t *testing.T) {
+	// Appends after a recovery scan land behind the recovered records.
 	dir := t.TempDir()
-	path := filepath.Join(dir, "delta.log")
-	l, err := OpenLog(path)
-	if err != nil {
+	s := openTestStore(t, dir, StoreOptions{})
+	if err := appendScript(s, "+a(1)."); err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	if err := l.Append("+a(1)."); err != nil {
+	s.Close()
+	s2 := openTestStore(t, dir, StoreOptions{})
+	if err := appendScript(s2, "+b(2)."); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Replay(func(string) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	// O_APPEND writes still go to the end after a replay seek.
-	if err := l.Append("+b(2)."); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	if err := l.Replay(func(s string) error { got = append(got, s); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("replay: %v", got)
-	}
-}
-
-// legacyLogBytes renders records in the pre-checksum `[len u32][payload]`
-// format the old Append wrote, for migration tests.
-func legacyLogBytes(scripts ...string) []byte {
-	var buf []byte
-	for _, s := range scripts {
-		var hdr [legacyLogHeaderSize]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(s)))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, s...)
-	}
-	return buf
-}
-
-func TestReplayMigratesLegacyFormat(t *testing.T) {
-	// Logs written before the checksummed record format must still
-	// replay in full — a single-record legacy log is the trap case: read
-	// as the new format its header overshoots the file, which looks like
-	// a torn tail and used to migrate zero deltas without any error.
-	for name, scripts := range map[string][]string{
-		"single record": {"+link(a,b)."},
-		"multi record":  {"+link(a,b).", "-link(a,b).", "+link(x,y). +link(y,z)."},
-	} {
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "delta.log")
-			if err := os.WriteFile(path, legacyLogBytes(scripts...), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			l, err := OpenLog(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			var got []string
-			if err := l.Replay(func(s string) error { got = append(got, s); return nil }); err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(scripts) {
-				t.Fatalf("migrated %d of %d records: %v", len(got), len(scripts), got)
-			}
-			for i := range scripts {
-				if got[i] != scripts[i] {
-					t.Fatalf("record %d: %q, want %q", i, got[i], scripts[i])
-				}
-			}
-		})
-	}
-}
-
-func TestReplayLegacyFormatTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "delta.log")
-	data := legacyLogBytes("+p(a).", "+p(b).")
-	data = append(data, 0, 0, 0, 50, 'x') // crashed legacy append
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var got []string
-	if err := l.Replay(func(s string) error { got = append(got, s); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "+p(a)." || got[1] != "+p(b)." {
+	s2.Close()
+	s3 := openTestStore(t, dir, StoreOptions{})
+	defer s3.Close()
+	if got := scripts(s3); len(got) != 2 || got[0] != "+a(1)." || got[1] != "+b(2)." {
 		t.Fatalf("replay: %v", got)
 	}
 }
 
 func TestReplayEmptyLog(t *testing.T) {
-	l, err := OpenLog(filepath.Join(t.TempDir(), "delta.log"))
+	got, end, torn, err := scanAll(t, nil)
+	if err != nil || torn || end != 0 || len(got) != 0 {
+		t.Fatalf("empty scan: recs=%v end=%d torn=%v err=%v", got, end, torn, err)
+	}
+	// A fresh store's WAL holds only the file magic.
+	dir := t.TempDir()
+	s := openTestStore(t, dir, StoreOptions{})
+	s.Close()
+	data, err := os.ReadFile(walPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	if err := l.Replay(func(string) error { t.Fatal("no records expected"); return nil }); err != nil {
+	if !bytes.Equal(data, walFileMagic[:]) {
+		t.Fatalf("fresh wal: %q", data)
+	}
+}
+
+func TestStoreRefusesPreCutoffWAL(t *testing.T) {
+	// A WAL without the file magic was written in an earlier record
+	// layout: recovery refuses it and leaves the file as it was.
+	dir := t.TempDir()
+	s := openTestStore(t, dir, StoreOptions{})
+	s.Close()
+	legacy := append([]byte{}, encodeWALRecord(0, 1, []byte("+p(1)."))...)
+	if err := os.WriteFile(walPath(dir), legacy, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	var fe *FormatError
+	if _, err := OpenStore(dir, StoreOptions{}); !errors.As(err, &fe) {
+		t.Fatalf("want *FormatError, got %v", err)
+	}
+	after, err := os.ReadFile(walPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, legacy) {
+		t.Fatal("refused recovery must leave the wal byte-identical")
+	}
+}
+
+func TestTailRecordsSharesTheScanner(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir, StoreOptions{})
+	defer s.Close()
+	for v := uint64(1); v <= 4; v++ {
+		wait, err := s.AppendVersionedAsync(v, "+p(1).", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := s.TailRecords(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].Version != 3 || recs[1].Version != 4 {
+		t.Fatalf("tail after 2: %+v", recs)
+	}
+	// Damage a record in place: the tail scan reports it instead of
+	// serving a gap.
+	f, err := os.OpenFile(walPath(dir), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{0xff}, walMagicSize+walHeaderSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.TailRecords(0); err == nil {
+		t.Fatal("tail scan must fail on a damaged record")
 	}
 }

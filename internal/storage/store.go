@@ -4,12 +4,12 @@ package storage
 // snapshot-<epoch>.gob checkpoints plus one checksummed, epoch-stamped
 // write-ahead log (wal.log). The durability protocol:
 //
-//   - Append writes {epoch, seq, len, crc32c, payload} in a single
-//     buffered write followed by fsync (optionally batched across
+//   - AppendVersionedAsync writes {epoch, seq, len, crc32c, payload} in
+//     a single write followed by fsync (optionally batched across
 //     concurrent appenders — group commit).
-//   - Checkpoint writes the snapshot to a temp file, fsyncs it, renames
-//     it into place, fsyncs the directory, bumps the epoch, and only
-//     then truncates (and fsyncs) the WAL. A crash anywhere in that
+//   - CheckpointAt writes the snapshot to a temp file, fsyncs it,
+//     renames it into place, fsyncs the directory, bumps the epoch, and
+//     only then truncates (and fsyncs) the WAL. A crash anywhere in that
 //     sequence leaves either the old snapshot + a replayable WAL, or
 //     the new snapshot + stale-epoch WAL records that recovery skips —
 //     never a double apply.
@@ -18,9 +18,17 @@ package storage
 //     epoch; stale records are skipped, a torn tail is discarded, and a
 //     checksum-failing record stops the scan instead of feeding garbage
 //     to the parser.
+//
+// The WAL file opens with walFileMagic; every record payload is
+// `version u64 | keys+script body` (see appendKeysScript). A store
+// whose WAL lacks the magic, or whose newest snapshot lacks the
+// checksum footer or predates snapshot version 3, was written before
+// this layout: OpenStore refuses it with a *FormatError and changes no
+// file.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -49,6 +57,11 @@ const (
 	walHeaderSize = 24
 )
 
+// walFileMagic opens every WAL file; records follow it.
+var walFileMagic = [8]byte{'I', 'V', 'M', 'W', 'A', 'L', '0', '1'}
+
+const walMagicSize = int64(len(walFileMagic))
+
 // ErrStoreClosed is returned by operations on a closed Store.
 var ErrStoreClosed = errors.New("storage: store is closed")
 
@@ -56,110 +69,156 @@ var ErrStoreClosed = errors.New("storage: store is closed")
 // idempotency keys of the Apply calls it covers (a coalesced batch logs
 // one record carrying every caller's key). Keys ride in the record so
 // the dedup window survives crash recovery: replay hands them back and
-// the engine re-seeds key → result before serving any retry. Version,
-// when nonzero, is the snapshot version the record's apply published —
-// the durable commit order replication and recovery align on; legacy
-// records decode with Version 0.
+// the engine re-seeds key → result before serving any retry. Version
+// is the snapshot version the record's apply published — the durable
+// commit order replication and recovery align on; it is never zero.
 type WALRecord struct {
 	Script  string
 	Keys    []string
 	Version uint64
 }
 
-// walKeyedMagic opens a framed (non-legacy) WAL payload. Delta scripts
-// are UTF-8 text and never start with a NUL byte, so legacy payloads
-// (the bare script) and framed payloads are self-distinguishing. The
-// second byte selects the frame: 'K' carries idempotency keys
-// (framing v2), 'V' prefixes a u64 version stamp over a v2 remainder
-// (framing v3).
-const walKeyedMagic = 0x00
-
-// encodeWALPayload frames a record payload: an optional version stamp
-// (`0x00 'V' u64`) around the keyed-or-bare framing-v2 body. Records
-// without keys or a version keep the legacy bare-script form, so stores
-// that never use either stay byte-identical to what earlier versions
-// wrote.
-func encodeWALPayload(version uint64, script string, keys []string) ([]byte, error) {
-	inner, err := encodeKeyedPayload(script, keys)
-	if err != nil {
-		return nil, err
-	}
-	if version == 0 {
-		return inner, nil
-	}
-	out := make([]byte, 0, 10+len(inner))
-	out = append(out, walKeyedMagic, 'V')
-	out = binary.BigEndian.AppendUint64(out, version)
-	return append(out, inner...), nil
-}
-
-// encodeKeyedPayload renders the framing-v2 body: keyed or bare script.
-func encodeKeyedPayload(script string, keys []string) ([]byte, error) {
-	if len(keys) == 0 {
-		return []byte(script), nil
-	}
+// appendKeysScript appends the keys+script body shared by WAL payloads
+// and replication 'D' records: a u16 key count, each key as
+// `len u16 | bytes`, then the script (all numbers big-endian).
+func appendKeysScript(dst []byte, script string, keys []string) ([]byte, error) {
 	if len(keys) > 0xffff {
 		return nil, fmt.Errorf("storage: %d idempotency keys in one record (max %d)", len(keys), 0xffff)
 	}
-	n := 4 // magic + 'K' + u16 count
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(keys)))
 	for _, k := range keys {
 		if len(k) > 0xffff {
 			return nil, fmt.Errorf("storage: idempotency key of %d bytes (max %d)", len(k), 0xffff)
 		}
-		n += 2 + len(k)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(k)))
+		dst = append(dst, k...)
 	}
-	out := make([]byte, 0, n+len(script))
-	out = append(out, walKeyedMagic, 'K')
-	out = binary.BigEndian.AppendUint16(out, uint16(len(keys)))
-	for _, k := range keys {
-		out = binary.BigEndian.AppendUint16(out, uint16(len(k)))
-		out = append(out, k...)
-	}
-	return append(out, script...), nil
+	return append(dst, script...), nil
 }
 
-// decodeWALPayload parses a record payload in any framing (bare, keyed
-// v2, version-stamped v3). A framing error on a checksum-valid payload
-// means a writer bug, not disk damage, so it is surfaced loudly rather
-// than repaired around.
-func decodeWALPayload(payload []byte) (WALRecord, error) {
-	var version uint64
-	if len(payload) >= 10 && payload[0] == walKeyedMagic && payload[1] == 'V' {
-		version = binary.BigEndian.Uint64(payload[2:10])
-		payload = payload[10:]
+// decodeKeysScript parses a keys+script body. A framing error on a
+// checksum-valid body means a writer bug, not disk damage, so it is
+// surfaced loudly rather than repaired around.
+func decodeKeysScript(b []byte) (script string, keys []string, err error) {
+	if len(b) < 2 {
+		return "", nil, fmt.Errorf("storage: record body truncated in key count")
 	}
-	rec, err := decodeKeyedPayload(payload)
+	n := int(binary.BigEndian.Uint16(b))
+	b = b[2:]
+	for i := 0; i < n; i++ {
+		if len(b) < 2 {
+			return "", nil, fmt.Errorf("storage: record body truncated in key %d length", i)
+		}
+		kl := int(binary.BigEndian.Uint16(b))
+		if len(b)-2 < kl {
+			return "", nil, fmt.Errorf("storage: record body truncated in key %d", i)
+		}
+		keys = append(keys, string(b[2:2+kl]))
+		b = b[2+kl:]
+	}
+	return string(b), keys, nil
+}
+
+// encodeWALPayload renders a WAL record payload: `version u64` followed
+// by the keys+script body.
+func encodeWALPayload(version uint64, script string, keys []string) ([]byte, error) {
+	if version == 0 {
+		return nil, fmt.Errorf("storage: wal records need a nonzero version")
+	}
+	out := make([]byte, 8, 8+2+len(script))
+	binary.BigEndian.PutUint64(out, version)
+	return appendKeysScript(out, script, keys)
+}
+
+// decodeWALPayload parses a payload written by encodeWALPayload.
+func decodeWALPayload(payload []byte) (WALRecord, error) {
+	if len(payload) < 8 {
+		return WALRecord{}, fmt.Errorf("storage: wal payload truncated in version")
+	}
+	version := binary.BigEndian.Uint64(payload)
+	if version == 0 {
+		return WALRecord{}, fmt.Errorf("storage: wal payload has version 0")
+	}
+	script, keys, err := decodeKeysScript(payload[8:])
 	if err != nil {
 		return WALRecord{}, err
 	}
-	rec.Version = version
-	return rec, nil
+	return WALRecord{Script: script, Keys: keys, Version: version}, nil
 }
 
-// decodeKeyedPayload parses a framing-v2 body (keyed or bare script).
-func decodeKeyedPayload(payload []byte) (WALRecord, error) {
-	if len(payload) == 0 || payload[0] != walKeyedMagic {
-		return WALRecord{Script: string(payload)}, nil
-	}
-	if len(payload) < 4 || payload[1] != 'K' {
-		return WALRecord{}, fmt.Errorf("storage: malformed keyed wal payload header")
-	}
-	nkeys := int(binary.BigEndian.Uint16(payload[2:4]))
-	off := 4
-	keys := make([]string, 0, nkeys)
-	for i := 0; i < nkeys; i++ {
-		if len(payload)-off < 2 {
-			return WALRecord{}, fmt.Errorf("storage: keyed wal payload truncated in key %d length", i)
+// walEntry is one checksum-valid WAL record as scanWAL delivers it.
+type walEntry struct {
+	offset     int64
+	epoch, seq uint64
+	payload    []byte
+}
+
+// scanWAL reads the records in r — the WAL bytes from offset start up
+// to size — and hands each checksum-valid one to fn, in order. It is
+// the one record reader that recovery and TailRecords share.
+//
+// The scan stops at the first record it cannot accept. A record that
+// reaches the end of the file cut short, or whose checksum fails, is a
+// torn tail — a crash mid-append, never acknowledged — reported as
+// torn with a nil error. A checksum failure with bytes behind it is
+// in-place damage and returns a *CorruptWALError (Path left empty).
+// Payload lengths are bounded by the bytes remaining, so a garbage
+// header cannot force an allocation past the file size. end is the
+// offset just past the last record delivered; an error from fn stops
+// the scan and is returned as is.
+func scanWAL(r io.Reader, start, size int64, fn func(walEntry) error) (end int64, torn bool, err error) {
+	var hdr [walHeaderSize]byte
+	off := start
+	for off < size {
+		if size-off < walHeaderSize {
+			return off, true, nil
 		}
-		kl := int(binary.BigEndian.Uint16(payload[off : off+2]))
-		off += 2
-		if len(payload)-off < kl {
-			return WALRecord{}, fmt.Errorf("storage: keyed wal payload truncated in key %d", i)
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return off, false, err
 		}
-		keys = append(keys, string(payload[off:off+kl]))
-		off += kl
+		n := int64(binary.BigEndian.Uint32(hdr[16:20]))
+		if n > size-off-walHeaderSize {
+			return off, true, nil
+		}
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return off, false, err
+		}
+		next := off + walHeaderSize + n
+		want := binary.BigEndian.Uint32(hdr[20:24])
+		crc := crc32.Update(crc32.Checksum(hdr[0:20], castagnoli), castagnoli, payload)
+		if crc != want {
+			if next == size {
+				return off, true, nil
+			}
+			return off, false, &CorruptWALError{Offset: off, Reason: fmt.Sprintf("crc mismatch (stored %08x, computed %08x)", want, crc)}
+		}
+		e := walEntry{
+			offset:  off,
+			epoch:   binary.BigEndian.Uint64(hdr[0:8]),
+			seq:     binary.BigEndian.Uint64(hdr[8:16]),
+			payload: payload,
+		}
+		if err := fn(e); err != nil {
+			return off, false, err
+		}
+		off = next
 	}
-	return WALRecord{Script: string(payload[off:]), Keys: keys}, nil
+	return off, false, nil
+}
+
+// encodeWALRecord renders one record; the CRC32C covers the header
+// (minus the crc field itself) and the payload.
+func encodeWALRecord(epoch, seq uint64, payload []byte) []byte {
+	rec := make([]byte, walHeaderSize+len(payload))
+	binary.BigEndian.PutUint64(rec[0:8], epoch)
+	binary.BigEndian.PutUint64(rec[8:16], seq)
+	binary.BigEndian.PutUint32(rec[16:20], uint32(len(payload)))
+	copy(rec[walHeaderSize:], payload)
+	crc := crc32.Checksum(rec[0:20], castagnoli)
+	crc = crc32.Update(crc, castagnoli, rec[walHeaderSize:])
+	binary.BigEndian.PutUint32(rec[20:24], crc)
+	return rec
 }
 
 // StoreOptions tunes a Store.
@@ -200,8 +259,6 @@ type RecoveryInfo struct {
 	// Epoch of the snapshot recovery started from (0 when the store was
 	// empty).
 	Epoch uint64
-	// HasSnapshot reports whether any valid snapshot was found.
-	HasSnapshot bool
 	// Replayed counts WAL records from the current epoch handed to the
 	// caller for replay.
 	Replayed int
@@ -214,27 +271,46 @@ type RecoveryInfo struct {
 	TornTail bool
 	// CorruptRecords counts checksum failures with further data behind
 	// them: in-place corruption, not a torn tail. Nonzero only under
-	// StoreOptions.RepairCorruptWAL (the scan stops at the first one and
-	// the tail after it is discarded); without the opt-in, OpenStore
-	// fails with a *CorruptWALError instead.
+	// StoreOptions.RepairCorruptWAL (ivm.WithWALRepair): the scan stops
+	// at the first one and the tail after it is discarded; without the
+	// opt-in, OpenStore fails with a *CorruptWALError instead.
 	CorruptRecords int
-	// BadSnapshots counts snapshot files that failed to decode and were
-	// set aside (renamed to .corrupt).
+	// BadSnapshots counts snapshot files that failed their checksum or
+	// decoding and were set aside (renamed to .corrupt); recovery fell
+	// back to an older epoch.
 	BadSnapshots int
 	// DiscardedBytes is the length of the WAL tail dropped by recovery
 	// (torn or corrupt).
 	DiscardedBytes int64
+	// Initialized reports that the store was empty and the caller seeded
+	// it (ivm.OpenStore's init, checkpointed as epoch 1).
+	Initialized bool
 }
 
 func (ri RecoveryInfo) String() string {
-	return fmt.Sprintf("epoch=%d snapshot=%v replayed=%d skipped_stale=%d torn_tail=%v corrupt=%d bad_snapshots=%d discarded_bytes=%d",
-		ri.Epoch, ri.HasSnapshot, ri.Replayed, ri.SkippedStale, ri.TornTail, ri.CorruptRecords, ri.BadSnapshots, ri.DiscardedBytes)
+	if ri.Initialized {
+		return "initialized (epoch 1)"
+	}
+	s := fmt.Sprintf("epoch=%d replayed=%d", ri.Epoch, ri.Replayed)
+	if ri.SkippedStale > 0 {
+		s += fmt.Sprintf(" skipped_stale=%d", ri.SkippedStale)
+	}
+	if ri.TornTail {
+		s += " torn_tail"
+	}
+	if ri.CorruptRecords > 0 {
+		s += fmt.Sprintf(" corrupt_records=%d", ri.CorruptRecords)
+	}
+	if ri.BadSnapshots > 0 {
+		s += fmt.Sprintf(" bad_snapshots=%d", ri.BadSnapshots)
+	}
+	return s
 }
 
-// Store owns a crash-recovery directory. Append and Checkpoint are safe
-// for concurrent appenders, but Checkpoint must not race Append for the
-// same logical state (callers serialize state mutation + Append under
-// their own lock, as ivm.Views does).
+// Store owns a crash-recovery directory. AppendVersionedAsync and
+// CheckpointAt are safe for concurrent appenders, but a checkpoint must
+// not race an append for the same logical state (callers serialize
+// state mutation + append under their own lock, as ivm.Views does).
 type Store struct {
 	dir  string
 	opts StoreOptions
@@ -247,17 +323,11 @@ type Store struct {
 
 	gc *groupCommitter
 
-	// recovery results; immutable after OpenStore.
-	info        RecoveryInfo
-	snapDB      *eval.DB
-	snapProgram string
-	snapHidden  []string
-	records     []WALRecord
-
-	// snapVersion is the BaseVersion of the newest snapshot: set by
-	// recovery from the snapshot file, advanced by CheckpointAt. Guarded
-	// by mu after OpenStore.
-	snapVersion uint64
+	info RecoveryInfo
+	// recovered and records hold what recovery found until the caller
+	// takes them (Snapshot, Records); guarded by mu.
+	recovered *State
+	records   []WALRecord
 
 	// instruments; nil until AttachMetrics (nil instruments are no-ops).
 	mAppends, mAppendBytes, mFsyncs, mCheckpoints *metrics.Counter
@@ -283,21 +353,44 @@ func snapEpoch(name string) (uint64, bool) {
 }
 
 // OpenStore opens (creating if needed) the store directory and runs
-// recovery. The recovered snapshot and the WAL scripts to replay on top
-// of it are available via Snapshot and Scripts; Recovery reports what
-// was found.
+// recovery. Snapshot and Records hand over the recovered state and the
+// WAL records to replay on top of it; Recovery reports what was found.
+//
+// Recovery first checks formats without writing anything: a snapshot
+// or WAL from before the current layout fails with a *FormatError and
+// leaves every file as it was. Only then does it tidy the directory —
+// removing temp files of interrupted checkpoints, setting aside
+// unreadable snapshots and trimming a torn WAL tail.
 func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	s := &Store{dir: dir, opts: opts}
-	if err := s.recoverSnapshots(); err != nil {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.recoverWAL(); err != nil {
-		if s.wal != nil {
-			s.wal.Close()
+	bad, err := s.recoverSnapshot(entries)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.openWAL(); err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			// A checkpoint died before its rename; the WAL still has
+			// everything the snapshot would have contained.
+			os.Remove(filepath.Join(dir, e.Name()))
 		}
+	}
+	for _, path := range bad {
+		// Keep the evidence, but out of the next scan.
+		os.Rename(path, path+".corrupt")
+		s.info.BadSnapshots++
+	}
+	if err := s.recoverWAL(); err != nil {
+		s.wal.Close()
 		return nil, err
 	}
 	if opts.GroupCommit {
@@ -307,131 +400,90 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	return s, nil
 }
 
-// recoverSnapshots finds the newest decodable snapshot, sets aside
-// corrupt ones, and removes temp-file leftovers of partial checkpoints.
-func (s *Store) recoverSnapshots() error {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return err
-	}
+// recoverSnapshot loads the newest readable snapshot. It only reads:
+// the paths of unreadable (corrupt) snapshots passed over on the way
+// are returned for the caller to set aside, and a snapshot in a
+// pre-cutoff format stops recovery with its *FormatError.
+func (s *Store) recoverSnapshot(entries []os.DirEntry) (bad []string, err error) {
 	var epochs []uint64
 	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			// A checkpoint died before its rename; the WAL still has
-			// everything the snapshot would have contained.
-			os.Remove(filepath.Join(s.dir, name))
-			continue
-		}
-		if ep, ok := snapEpoch(name); ok {
+		if ep, ok := snapEpoch(e.Name()); ok {
 			epochs = append(epochs, ep)
 		}
 	}
 	sort.Slice(epochs, func(i, j int) bool { return epochs[i] > epochs[j] })
 	for _, ep := range epochs {
 		path := filepath.Join(s.dir, snapName(ep))
-		err := VerifySnapshotFile(path)
-		var db *eval.DB
-		var program string
-		var hidden []string
-		var base uint64
-		if err == nil {
-			db, program, hidden, base, err = LoadFileAt(path)
+		st, err := LoadFileAt(path)
+		var fe *FormatError
+		if errors.As(err, &fe) {
+			return nil, err
 		}
 		if err != nil {
-			// Unreadable snapshot: set it aside (keep the evidence out of
-			// the next scan) and fall back to the previous epoch.
-			s.info.BadSnapshots++
-			os.Rename(path, path+".corrupt")
+			bad = append(bad, path)
 			continue
 		}
-		s.snapDB, s.snapProgram, s.snapHidden = db, program, hidden
-		s.snapVersion = base
-		s.info.Epoch, s.info.HasSnapshot = ep, true
+		s.recovered = st
+		s.info.Epoch = ep
 		s.epoch = ep
 		break
 	}
+	return bad, nil
+}
+
+// openWAL opens wal.log and checks that it starts with walFileMagic. A
+// WAL without it was written before the current record layout and is
+// refused untouched. An empty WAL — a new store, or one a previous
+// release shut down cleanly — or one holding only a torn prefix of the
+// magic gets the magic written.
+func (s *Store) openWAL() error {
+	path := filepath.Join(s.dir, walFileName)
+	wal, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	var head [walMagicSize]byte
+	n, err := io.ReadFull(wal, head[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		wal.Close()
+		return err
+	}
+	if !bytes.HasPrefix(walFileMagic[:], head[:n]) {
+		wal.Close()
+		return &FormatError{Path: path, Reason: "write-ahead log predates the current record layout"}
+	}
+	if n < len(head) {
+		err := wal.Truncate(0)
+		if err == nil {
+			_, err = wal.Write(walFileMagic[:])
+		}
+		if err == nil {
+			err = wal.Sync()
+		}
+		if err != nil {
+			wal.Close()
+			return err
+		}
+	}
+	s.wal = wal
 	return nil
 }
 
-// recoverWAL scans wal.log, collecting current-epoch scripts and
+// recoverWAL scans wal.log, collecting current-epoch records and
 // truncating any torn or corrupt tail so appends resume after the last
 // valid record.
 func (s *Store) recoverWAL() error {
-	wal, err := os.OpenFile(filepath.Join(s.dir, walFileName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	s.wal = wal
-	st, err := wal.Stat()
-	if err != nil {
-		return err
-	}
-	size := st.Size()
-	if _, err := wal.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	r := bufio.NewReader(wal)
-	var (
-		offset   int64
-		validEnd int64
-		hdr      [walHeaderSize]byte
-	)
-	for offset < size {
-		if size-offset < walHeaderSize {
-			s.info.TornTail = true
-			break
-		}
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			s.info.TornTail = true
-			break
-		}
-		epoch := binary.BigEndian.Uint64(hdr[0:8])
-		seq := binary.BigEndian.Uint64(hdr[8:16])
-		n := int64(binary.BigEndian.Uint32(hdr[16:20]))
-		want := binary.BigEndian.Uint32(hdr[20:24])
-		if n > size-offset-walHeaderSize {
-			// Record extends past EOF: a crashed append.
-			s.info.TornTail = true
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			s.info.TornTail = true
-			break
-		}
-		end := offset + walHeaderSize + n
-		crc := crc32.Checksum(hdr[0:20], castagnoli)
-		crc = crc32.Update(crc, castagnoli, payload)
-		if crc != want {
-			if end == size {
-				// Final record: indistinguishable from a torn append.
-				s.info.TornTail = true
-				break
-			}
-			if !s.opts.RepairCorruptWAL {
-				// Acknowledged records sit behind the damage; refuse to
-				// open (and leave the file untouched) rather than silently
-				// destroy them.
-				return &CorruptWALError{
-					Path:   filepath.Join(s.dir, walFileName),
-					Offset: offset,
-					Reason: fmt.Sprintf("crc mismatch (stored %08x, computed %08x)", want, crc),
-				}
-			}
-			s.info.CorruptRecords++
-			break
-		}
+	path := filepath.Join(s.dir, walFileName)
+	end, size, torn, err := s.scan(func(e walEntry) error {
 		switch {
-		case epoch == s.epoch:
-			rec, err := decodeWALPayload(payload)
+		case e.epoch == s.epoch:
+			rec, err := decodeWALPayload(e.payload)
 			if err != nil {
-				wal.Close()
-				return fmt.Errorf("storage: wal record at offset %d: %w", offset, err)
+				return fmt.Errorf("storage: wal record at offset %d: %w", e.offset, err)
 			}
 			s.records = append(s.records, rec)
 			s.info.Replayed++
-		case epoch < s.epoch:
+		case e.epoch < s.epoch:
 			// Written before the snapshot we recovered from — the crash
 			// hit between a checkpoint rename and the WAL truncate.
 			s.info.SkippedStale++
@@ -439,21 +491,31 @@ func (s *Store) recoverWAL() error {
 			// A record newer than every readable snapshot: the snapshot
 			// covering the records truncated at that checkpoint is gone.
 			// Replaying onto older state would silently lose data.
-			wal.Close()
-			return fmt.Errorf("storage: wal record at offset %d has epoch %d but newest readable snapshot is epoch %d; state is not recoverable from this directory", offset, epoch, s.epoch)
+			return fmt.Errorf("storage: wal record at offset %d has epoch %d but newest readable snapshot is epoch %d; state is not recoverable from this directory", e.offset, e.epoch, s.epoch)
 		}
-		if seq > s.seq {
-			s.seq = seq
+		s.seq = max(s.seq, e.seq)
+		return nil
+	})
+	var ce *CorruptWALError
+	if errors.As(err, &ce) {
+		ce.Path = path
+		if !s.opts.RepairCorruptWAL {
+			// Acknowledged records sit behind the damage; refuse to open
+			// (and leave the file untouched) rather than silently
+			// destroy them.
+			return ce
 		}
-		offset = end
-		validEnd = end
+		s.info.CorruptRecords++
+	} else if err != nil {
+		return err
 	}
-	if validEnd < size {
-		s.info.DiscardedBytes = size - validEnd
-		if err := wal.Truncate(validEnd); err != nil {
+	s.info.TornTail = torn
+	if end < size {
+		s.info.DiscardedBytes = size - end
+		if err := s.wal.Truncate(end); err != nil {
 			return err
 		}
-		if err := wal.Sync(); err != nil {
+		if err := s.wal.Sync(); err != nil {
 			return err
 		}
 	}
@@ -461,38 +523,42 @@ func (s *Store) recoverWAL() error {
 	return nil
 }
 
+// scan runs scanWAL over the records of the whole WAL file, reporting
+// the file size alongside the scan's outcome.
+func (s *Store) scan(fn func(walEntry) error) (end, size int64, torn bool, err error) {
+	st, err := s.wal.Stat()
+	if err != nil {
+		return 0, 0, false, err
+	}
+	size = st.Size()
+	r := bufio.NewReader(io.NewSectionReader(s.wal, walMagicSize, size-walMagicSize))
+	end, torn, err = scanWAL(r, walMagicSize, size, fn)
+	return end, size, torn, err
+}
+
 // Recovery reports what OpenStore found.
 func (s *Store) Recovery() RecoveryInfo { return s.info }
 
-// Snapshot returns the recovered snapshot contents (ok=false when the
-// store held none). The returned DB is the store's own copy; callers
-// take ownership.
-func (s *Store) Snapshot() (db *eval.DB, program string, hidden []string, ok bool) {
-	return s.snapDB, s.snapProgram, s.snapHidden, s.info.HasSnapshot
-}
-
-// Scripts returns the WAL delta scripts to replay on top of the
-// snapshot, in append order.
-func (s *Store) Scripts() []string {
-	out := make([]string, len(s.records))
-	for i, r := range s.records {
-		out[i] = r.Script
-	}
-	return out
-}
-
-// Records returns the WAL records to replay on top of the snapshot, in
-// append order, including the idempotency keys each record carries.
-func (s *Store) Records() []WALRecord { return s.records }
-
-// SnapshotBaseVersion returns the published snapshot version the newest
-// checkpoint was stamped with (0 for stores written before version
-// stamping). After recovery this is the version the in-memory state sat
-// at before any WAL replay.
-func (s *Store) SnapshotBaseVersion() uint64 {
+// Snapshot hands over the recovered snapshot state (nil when the store
+// held none). The store drops its reference, so a second call returns
+// nil: a process that recovered keeps no second copy of the state.
+func (s *Store) Snapshot() *State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snapVersion
+	st := s.recovered
+	s.recovered = nil
+	return st
+}
+
+// Records hands over the WAL records to replay on top of the snapshot,
+// in append order, each with its version and idempotency keys. Like
+// Snapshot it transfers ownership: a second call returns nil.
+func (s *Store) Records() []WALRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	recs := s.records
+	s.records = nil
+	return recs
 }
 
 // TailRecords re-reads the live WAL and returns every current-epoch
@@ -510,55 +576,25 @@ func (s *Store) TailRecords(fromExcl uint64) ([]WALRecord, error) {
 	if s.closed {
 		return nil, ErrStoreClosed
 	}
-	f, err := os.Open(filepath.Join(s.dir, walFileName))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := st.Size()
-	r := bufio.NewReader(f)
-	var (
-		out    []WALRecord
-		offset int64
-		hdr    [walHeaderSize]byte
-	)
-	for offset < size {
-		if size-offset < walHeaderSize {
-			return nil, fmt.Errorf("storage: wal tail scan: torn header at offset %d", offset)
+	var out []WALRecord
+	_, _, torn, err := s.scan(func(e walEntry) error {
+		if e.epoch != s.epoch {
+			return nil
 		}
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, err
-		}
-		epoch := binary.BigEndian.Uint64(hdr[0:8])
-		n := int64(binary.BigEndian.Uint32(hdr[16:20]))
-		want := binary.BigEndian.Uint32(hdr[20:24])
-		if n > size-offset-walHeaderSize {
-			return nil, fmt.Errorf("storage: wal tail scan: torn record at offset %d", offset)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, err
-		}
-		crc := crc32.Checksum(hdr[0:20], castagnoli)
-		crc = crc32.Update(crc, castagnoli, payload)
-		if crc != want {
-			return nil, fmt.Errorf("storage: wal tail scan: crc mismatch at offset %d", offset)
-		}
-		offset += walHeaderSize + n
-		if epoch != s.epoch {
-			continue
-		}
-		rec, err := decodeWALPayload(payload)
+		rec, err := decodeWALPayload(e.payload)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if rec.Version > fromExcl {
 			out = append(out, rec)
 		}
+		return nil
+	})
+	if err == nil && torn {
+		err = fmt.Errorf("storage: wal tail scan: torn record")
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -567,7 +603,7 @@ func (s *Store) TailRecords(fromExcl uint64) ([]WALRecord, error) {
 // in-memory state before appending can pre-check so a closed store
 // rejects the whole operation instead of leaving memory ahead of the
 // log (a concurrent Close can still land between the check and the
-// append; AppendAsync then fails with ErrStoreClosed after the fact).
+// append; AppendVersionedAsync then fails with ErrStoreClosed after the fact).
 func (s *Store) Closed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -605,49 +641,13 @@ func (s *Store) AttachMetrics(reg *metrics.Registry) {
 	}
 }
 
-// encodeWALRecord renders one record; the CRC32C covers the header
-// (minus the crc field itself) and the payload.
-func encodeWALRecord(epoch, seq uint64, payload []byte) []byte {
-	rec := make([]byte, walHeaderSize+len(payload))
-	binary.BigEndian.PutUint64(rec[0:8], epoch)
-	binary.BigEndian.PutUint64(rec[8:16], seq)
-	binary.BigEndian.PutUint32(rec[16:20], uint32(len(payload)))
-	copy(rec[walHeaderSize:], payload)
-	crc := crc32.Checksum(rec[0:20], castagnoli)
-	crc = crc32.Update(crc, castagnoli, rec[walHeaderSize:])
-	binary.BigEndian.PutUint32(rec[20:24], crc)
-	return rec
-}
-
-// Append durably logs one delta script: it returns only after the
-// record is written and fsynced (possibly by a shared group commit).
-func (s *Store) Append(script string) error {
-	wait, err := s.AppendAsync(script)
-	if err != nil {
-		return err
-	}
-	return wait()
-}
-
-// AppendAsync is AppendRecordAsync for a record without idempotency
-// keys.
-func (s *Store) AppendAsync(script string) (wait func() error, err error) {
-	return s.AppendRecordAsync(script, nil)
-}
-
-// AppendRecordAsync is AppendVersionedAsync for a record without a
-// version stamp (legacy framing).
-func (s *Store) AppendRecordAsync(script string, keys []string) (wait func() error, err error) {
-	return s.AppendVersionedAsync(0, script, keys)
-}
-
 // AppendVersionedAsync writes the record (establishing its position in
 // the log) and returns a wait function that blocks until the record is
-// durable. version, when nonzero, stamps the record with the snapshot
-// version its apply publishes, so recovery and replication backfill can
-// align on the durable commit order. keys are the idempotency keys the
-// record's applies carried; recovery hands them back via Records so
-// dedup survives replay. Callers that serialize appends under their own
+// durable. version, which must be nonzero, stamps the record with the
+// snapshot version its apply publishes, so recovery and replication
+// backfill can align on the durable commit order. keys are the
+// idempotency keys the record's applies carried; recovery hands them
+// back via Records so dedup survives replay. Callers that serialize appends under their own
 // lock can write inside the critical section and wait outside it,
 // letting group commit batch the fsyncs.
 func (s *Store) AppendVersionedAsync(version uint64, script string, keys []string) (wait func() error, err error) {
@@ -691,18 +691,13 @@ func (s *Store) AppendVersionedAsync(version uint64, script string, keys []strin
 	return func() error { return s.gc.waitSynced(seq) }, nil
 }
 
-// Checkpoint is CheckpointAt without a base-version stamp.
-func (s *Store) Checkpoint(db *eval.DB, program string, hidden []string) error {
-	return s.CheckpointAt(db, program, hidden, 0)
-}
-
 // CheckpointAt writes a new snapshot epoch and truncates the WAL. The
 // sequence — fsync temp snapshot, rename, fsync directory, bump epoch,
 // truncate + fsync WAL — guarantees a crash at any point recovers to
-// exactly the checkpointed state plus later appends. baseVersion, when
-// nonzero, records the snapshot version the checkpointed state was
-// published as, so recovery restarts the version counter where the
-// previous process left it.
+// exactly the checkpointed state plus later appends. db holds the base
+// relations to persist (see State); baseVersion records the snapshot
+// version the checkpointed state was published as, so recovery restarts
+// the version counter where the previous process left it.
 func (s *Store) CheckpointAt(db *eval.DB, program string, hidden []string, baseVersion uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -711,12 +706,12 @@ func (s *Store) CheckpointAt(db *eval.DB, program string, hidden []string, baseV
 	}
 	start := time.Now()
 	next := s.epoch + 1
-	if err := SaveFileAt(filepath.Join(s.dir, snapName(next)), db, program, hidden, baseVersion); err != nil {
+	st := &State{Base: db, Program: program, Hidden: hidden, BaseVersion: baseVersion}
+	if err := SaveFileAt(filepath.Join(s.dir, snapName(next)), st); err != nil {
 		return err
 	}
 	s.epoch = next
-	s.snapVersion = baseVersion
-	if err := s.wal.Truncate(0); err != nil {
+	if err := s.wal.Truncate(walMagicSize); err != nil {
 		return err
 	}
 	if err := s.wal.Sync(); err != nil {
@@ -776,6 +771,7 @@ type groupCommitter struct {
 	synced   uint64
 	err      error
 	closed   bool
+	drained  bool // the final fsync after close has run
 	done     chan struct{}
 
 	fsyncs *metrics.Counter
@@ -806,7 +802,10 @@ func (g *groupCommitter) noteAppended(seq uint64) {
 func (g *groupCommitter) waitSynced(seq uint64) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for g.err == nil && g.synced < seq && !g.closed {
+	// Wait out the final drain, not just the close: a record written
+	// before Close is covered by the drain's fsync and must not be
+	// reported as ErrStoreClosed.
+	for g.err == nil && g.synced < seq && !g.drained {
 		g.cond.Wait()
 	}
 	if g.err != nil {
@@ -839,6 +838,7 @@ func (g *groupCommitter) run() {
 			} else if g.err == nil {
 				g.synced = target
 			}
+			g.drained = true
 			g.cond.Broadcast()
 			g.mu.Unlock()
 			close(g.done)

@@ -25,15 +25,38 @@ func openTestStore(t *testing.T, dir string, opts StoreOptions) *Store {
 
 func walPath(dir string) string { return filepath.Join(dir, walFileName) }
 
+// testVersion hands out the nonzero versions test appends are stamped
+// with.
+var testVersion atomic.Uint64
+
+// appendScript durably appends one record stamped with a fresh version.
+func appendScript(s *Store, script string, keys ...string) error {
+	wait, err := s.AppendVersionedAsync(testVersion.Add(1), script, keys)
+	if err != nil {
+		return err
+	}
+	return wait()
+}
+
+// scripts takes the store's recovered records and returns their
+// scripts.
+func scripts(s *Store) []string {
+	var out []string
+	for _, r := range s.Records() {
+		out = append(out, r.Script)
+	}
+	return out
+}
+
 func TestStoreEmptyOpen(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
 	defer s.Close()
-	if _, _, _, ok := s.Snapshot(); ok {
+	if s.Snapshot() != nil {
 		t.Fatal("empty store must have no snapshot")
 	}
-	if len(s.Scripts()) != 0 || s.Epoch() != 0 {
-		t.Fatalf("scripts=%v epoch=%d", s.Scripts(), s.Epoch())
+	if got := scripts(s); len(got) != 0 || s.Epoch() != 0 {
+		t.Fatalf("scripts=%v epoch=%d", got, s.Epoch())
 	}
 }
 
@@ -41,7 +64,7 @@ func TestStoreAppendReopenReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
 	for i := 0; i < 5; i++ {
-		if err := s.Append(fmt.Sprintf("+p(%d).", i)); err != nil {
+		if err := appendScript(s, fmt.Sprintf("+p(%d).", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +74,7 @@ func TestStoreAppendReopenReplay(t *testing.T) {
 
 	s2 := openTestStore(t, dir, StoreOptions{})
 	defer s2.Close()
-	if got := s2.Scripts(); len(got) != 5 || got[0] != "+p(0)." || got[4] != "+p(4)." {
+	if got := scripts(s2); len(got) != 5 || got[0] != "+p(0)." || got[4] != "+p(4)." {
 		t.Fatalf("scripts: %v", got)
 	}
 	info := s2.Recovery()
@@ -63,27 +86,27 @@ func TestStoreAppendReopenReplay(t *testing.T) {
 func TestStoreCheckpointSupersedesWAL(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	if err := s.Append("+p(1)."); err != nil {
+	if err := appendScript(s, "+p(1)."); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(sampleDB(), "prog.", []string{"aux"}); err != nil {
+	if err := s.CheckpointAt(sampleDB(), "prog.", []string{"aux"}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append("+p(2)."); err != nil {
+	if err := appendScript(s, "+p(2)."); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 
 	s2 := openTestStore(t, dir, StoreOptions{})
 	defer s2.Close()
-	db, prog, hidden, ok := s2.Snapshot()
-	if !ok || prog != "prog." || len(hidden) != 1 || hidden[0] != "aux" {
-		t.Fatalf("snapshot: ok=%v prog=%q hidden=%v", ok, prog, hidden)
+	st := s2.Snapshot()
+	if st == nil || st.Program != "prog." || len(st.Hidden) != 1 || st.Hidden[0] != "aux" || st.BaseVersion != 1 {
+		t.Fatalf("snapshot: %+v", st)
 	}
-	if db.Get("link").Count(value.T("b", "c")) != 3 {
+	if st.Base.Get("link").Count(value.T("b", "c")) != 3 {
 		t.Fatal("snapshot db contents")
 	}
-	if got := s2.Scripts(); len(got) != 1 || got[0] != "+p(2)." {
+	if got := scripts(s2); len(got) != 1 || got[0] != "+p(2)." {
 		t.Fatalf("scripts: %v", got)
 	}
 	if s2.Epoch() != 1 {
@@ -97,7 +120,7 @@ func TestStoreSkipsStaleEpochRecords(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
 	for i := 0; i < 3; i++ {
-		if err := s.Append(fmt.Sprintf("+p(%d).", i)); err != nil {
+		if err := appendScript(s, fmt.Sprintf("+p(%d).", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,7 +128,7 @@ func TestStoreSkipsStaleEpochRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(sampleDB(), "prog.", nil); err != nil {
+	if err := s.CheckpointAt(sampleDB(), "prog.", nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -119,8 +142,8 @@ func TestStoreSkipsStaleEpochRecords(t *testing.T) {
 	if info.SkippedStale != 3 || info.Replayed != 0 {
 		t.Fatalf("info: %v", info)
 	}
-	if len(s2.Scripts()) != 0 {
-		t.Fatalf("stale records must not replay: %v", s2.Scripts())
+	if got := scripts(s2); len(got) != 0 {
+		t.Fatalf("stale records must not replay: %v", got)
 	}
 }
 
@@ -132,7 +155,7 @@ func TestStoreTornTail(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := openTestStore(t, dir, StoreOptions{})
-			if err := s.Append("+p(1)."); err != nil {
+			if err := appendScript(s, "+p(1)."); err != nil {
 				t.Fatal(err)
 			}
 			s.Close()
@@ -149,17 +172,17 @@ func TestStoreTornTail(t *testing.T) {
 			if !info.TornTail || info.CorruptRecords != 0 {
 				t.Fatalf("%s: info: %v", name, info)
 			}
-			if got := s2.Scripts(); len(got) != 1 || got[0] != "+p(1)." {
+			if got := scripts(s2); len(got) != 1 || got[0] != "+p(1)." {
 				t.Fatalf("%s: scripts: %v", name, got)
 			}
 			// The torn tail is truncated away, so appends resume cleanly.
-			if err := s2.Append("+p(2)."); err != nil {
+			if err := appendScript(s2, "+p(2)."); err != nil {
 				t.Fatal(err)
 			}
 			s2.Close()
 			s3 := openTestStore(t, dir, StoreOptions{})
 			defer s3.Close()
-			if got := s3.Scripts(); len(got) != 2 || got[1] != "+p(2)." {
+			if got := scripts(s3); len(got) != 2 || got[1] != "+p(2)." {
 				t.Fatalf("%s: after tail truncation: %v", name, got)
 			}
 		})
@@ -170,7 +193,7 @@ func TestStoreBitFlipRefusesWithoutRepairOptIn(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
 	for i := 0; i < 3; i++ {
-		if err := s.Append(fmt.Sprintf("+p(%d).", i)); err != nil {
+		if err := appendScript(s, fmt.Sprintf("+p(%d).", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,9 +203,10 @@ func TestStoreBitFlipRefusesWithoutRepairOptIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a payload bit in the middle record: acknowledged records sit
-	// behind the damage.
-	recLen := walHeaderSize + len("+p(0).")
-	data[recLen+walHeaderSize] ^= 0x01
+	// behind the damage. Each record is header, version, key count and
+	// script.
+	second := walMagicSize + walHeaderSize + 8 + 2 + int64(len("+p(0)."))
+	data[second+walHeaderSize] ^= 0x01
 	if err := os.WriteFile(walPath(dir), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +217,8 @@ func TestStoreBitFlipRefusesWithoutRepairOptIn(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("want *CorruptWALError, got %v", err)
 	}
-	if ce.Offset != int64(recLen) {
-		t.Fatalf("corrupt offset %d, want %d", ce.Offset, recLen)
+	if ce.Offset != second {
+		t.Fatalf("corrupt offset %d, want %d", ce.Offset, second)
 	}
 	after, err := os.ReadFile(walPath(dir))
 	if err != nil {
@@ -211,7 +235,7 @@ func TestStoreBitFlipRefusesWithoutRepairOptIn(t *testing.T) {
 	if info.CorruptRecords != 1 {
 		t.Fatalf("info: %v", info)
 	}
-	if got := s2.Scripts(); len(got) != 1 || got[0] != "+p(0)." {
+	if got := scripts(s2); len(got) != 1 || got[0] != "+p(0)." {
 		t.Fatalf("only the valid prefix may replay: %v", got)
 	}
 	if info.DiscardedBytes == 0 {
@@ -226,10 +250,10 @@ func TestStoreMissingSnapshotForNewerEpochFails(t *testing.T) {
 	// records truncated at that checkpoint.
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	if err := s.Checkpoint(sampleDB(), "prog.", nil); err != nil {
+	if err := s.CheckpointAt(sampleDB(), "prog.", nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append("+p(1)."); err != nil {
+	if err := appendScript(s, "+p(1)."); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -249,23 +273,30 @@ func TestStoreFallsBackToPreviousSnapshot(t *testing.T) {
 	// recovery falls back to the previous snapshot and replays.
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	if err := s.Checkpoint(sampleDB(), "v1.", nil); err != nil {
+	if err := s.CheckpointAt(sampleDB(), "v1.", nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append("+p(1)."); err != nil {
+	if err := appendScript(s, "+p(1)."); err != nil {
 		t.Fatal(err)
 	}
 	pre, err := os.ReadFile(walPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(sampleDB(), "v2.", nil); err != nil {
+	if err := s.CheckpointAt(sampleDB(), "v2.", nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	// Corrupt snapshot-2 and restore the pre-checkpoint WAL (epoch-1
-	// records), as if the second checkpoint never became durable.
-	if err := os.WriteFile(filepath.Join(dir, snapName(2)), []byte("garbage"), 0o644); err != nil {
+	// Corrupt snapshot-2 in place (its checksum no longer matches) and
+	// restore the pre-checkpoint WAL (epoch-1 records), as if the second
+	// checkpoint never became durable.
+	snap2 := filepath.Join(dir, snapName(2))
+	data, err := os.ReadFile(snap2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(snap2, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(walPath(dir), pre, 0o644); err != nil {
@@ -278,10 +309,10 @@ func TestStoreFallsBackToPreviousSnapshot(t *testing.T) {
 	if info.Epoch != 1 || info.BadSnapshots != 1 {
 		t.Fatalf("info: %v", info)
 	}
-	if _, prog, _, ok := s2.Snapshot(); !ok || prog != "v1." {
-		t.Fatalf("must fall back to snapshot 1 (prog=%q ok=%v)", prog, ok)
+	if st := s2.Snapshot(); st == nil || st.Program != "v1." {
+		t.Fatalf("must fall back to snapshot 1, got %+v", st)
 	}
-	if got := s2.Scripts(); len(got) != 1 || got[0] != "+p(1)." {
+	if got := scripts(s2); len(got) != 1 || got[0] != "+p(1)." {
 		t.Fatalf("scripts: %v", got)
 	}
 }
@@ -289,10 +320,10 @@ func TestStoreFallsBackToPreviousSnapshot(t *testing.T) {
 func TestStorePartialRenameLeftoverIgnored(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	if err := s.Checkpoint(sampleDB(), "prog.", nil); err != nil {
+	if err := s.CheckpointAt(sampleDB(), "prog.", nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append("+p(1)."); err != nil {
+	if err := appendScript(s, "+p(1)."); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -304,8 +335,8 @@ func TestStorePartialRenameLeftoverIgnored(t *testing.T) {
 
 	s2 := openTestStore(t, dir, StoreOptions{})
 	defer s2.Close()
-	if s2.Epoch() != 1 || len(s2.Scripts()) != 1 {
-		t.Fatalf("epoch=%d scripts=%v", s2.Epoch(), s2.Scripts())
+	if got := scripts(s2); s2.Epoch() != 1 || len(got) != 1 {
+		t.Fatalf("epoch=%d scripts=%v", s2.Epoch(), got)
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatal("temp leftovers must be removed")
@@ -317,7 +348,7 @@ func TestStorePrunesOldSnapshots(t *testing.T) {
 	s := openTestStore(t, dir, StoreOptions{})
 	defer s.Close()
 	for i := 0; i < 4; i++ {
-		if err := s.Checkpoint(sampleDB(), "prog.", nil); err != nil {
+		if err := s.CheckpointAt(sampleDB(), "prog.", nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -345,7 +376,7 @@ func TestStoreGroupCommitConcurrentAppends(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := s.Append(fmt.Sprintf("+p(%d,%d).", w, i)); err != nil {
+				if err := appendScript(s, fmt.Sprintf("+p(%d,%d).", w, i)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -363,13 +394,13 @@ func TestStoreGroupCommitConcurrentAppends(t *testing.T) {
 
 	s2 := openTestStore(t, dir, StoreOptions{})
 	defer s2.Close()
-	if got := len(s2.Scripts()); got != writers*perWriter {
+	if got := len(scripts(s2)); got != writers*perWriter {
 		t.Fatalf("recovered %d of %d records", got, writers*perWriter)
 	}
 }
 
 func TestStoreGroupCommitCloseNeverFailsDurableAppends(t *testing.T) {
-	// Race Close against concurrent AppendAsync callers: any append that
+	// Race Close against concurrent AppendVersionedAsync callers: any append that
 	// passes the closed check has its record written, so its wait() must
 	// report success (the final drain's fsync covers it), and the record
 	// must be there on recovery. Before the fix, Close could capture the
@@ -387,7 +418,7 @@ func TestStoreGroupCommitCloseNeverFailsDurableAppends(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				<-start
-				wait, err := s.AppendAsync(fmt.Sprintf("+p(%d).", w))
+				wait, err := s.AppendVersionedAsync(testVersion.Add(1), fmt.Sprintf("+p(%d).", w), nil)
 				if err != nil {
 					if err != ErrStoreClosed {
 						t.Errorf("append: %v", err)
@@ -408,7 +439,7 @@ func TestStoreGroupCommitCloseNeverFailsDurableAppends(t *testing.T) {
 		wg.Wait()
 
 		s2 := openTestStore(t, dir, StoreOptions{})
-		if got := int64(len(s2.Scripts())); got != acked.Load() {
+		if got := int64(len(scripts(s2))); got != acked.Load() {
 			t.Fatalf("round %d: recovered %d records, acknowledged %d", round, got, acked.Load())
 		}
 		s2.Close()
@@ -419,24 +450,22 @@ func TestStoreAppendAfterCloseFails(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
 	s.Close()
-	if err := s.Append("+p(1)."); err != ErrStoreClosed {
+	if err := appendScript(s, "+p(1)."); err != ErrStoreClosed {
 		t.Fatalf("err: %v", err)
 	}
-	if err := s.Checkpoint(sampleDB(), "p.", nil); err != ErrStoreClosed {
+	if err := s.CheckpointAt(sampleDB(), "p.", nil, 1); err != ErrStoreClosed {
 		t.Fatalf("err: %v", err)
 	}
 }
 
 func TestWALPayloadRoundTrip(t *testing.T) {
 	cases := []WALRecord{
-		{Script: "+p(1).", Keys: nil},
-		{Script: "+p(1).", Keys: []string{"k1"}},
-		{Script: "+p(1). -q(2).", Keys: []string{"a", "b", "c"}},
-		{Script: "", Keys: []string{"only-keys"}},
-		{Script: "+p(1).", Keys: []string{""}},
-		{Script: "+p(1).", Keys: []string{strings.Repeat("K", 300)}},
 		{Script: "+p(1).", Keys: nil, Version: 1},
-		{Script: "+p(1).", Keys: []string{"k1"}, Version: 42},
+		{Script: "+p(1).", Keys: []string{"k1"}, Version: 2},
+		{Script: "+p(1). -q(2).", Keys: []string{"a", "b", "c"}, Version: 3},
+		{Script: "", Keys: []string{"only-keys"}, Version: 4},
+		{Script: "+p(1).", Keys: []string{""}, Version: 5},
+		{Script: "+p(1).", Keys: []string{strings.Repeat("K", 300)}, Version: 6},
 		{Script: "", Keys: nil, Version: 1<<64 - 1},
 	}
 	for _, want := range cases {
@@ -457,22 +486,19 @@ func TestWALPayloadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Keyless, unversioned records must keep the legacy bare-script
-	// framing so stores written without either are byte-identical to
-	// earlier versions.
-	payload, _ := encodeWALPayload(0, "+p(1).", nil)
-	if string(payload) != "+p(1)." {
-		t.Fatalf("keyless payload not legacy framed: %q", payload)
+	// Every record is stamped: recovery and backfill align on versions.
+	if _, err := encodeWALPayload(0, "+p(1).", nil); err == nil {
+		t.Fatal("an unversioned record must be rejected")
 	}
 }
 
 func TestWALPayloadDecodeMalformed(t *testing.T) {
 	for name, payload := range map[string][]byte{
-		"bare magic":      {walKeyedMagic},
-		"wrong tag":       {walKeyedMagic, 'X', 0, 1},
-		"truncated count": {walKeyedMagic, 'K', 0},
-		"truncated klen":  {walKeyedMagic, 'K', 0, 2, 0, 1, 'a'},
-		"truncated key":   {walKeyedMagic, 'K', 0, 1, 0, 9, 'a'},
+		"short version":   {0, 0, 0, 1},
+		"zero version":    {0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"truncated count": {0, 0, 0, 0, 0, 0, 0, 1, 0},
+		"truncated klen":  {0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 1, 'a', 0},
+		"truncated key":   {0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 9, 'a'},
 	} {
 		if _, err := decodeWALPayload(payload); err == nil {
 			t.Errorf("%s: decode accepted malformed payload %v", name, payload)
@@ -483,9 +509,9 @@ func TestWALPayloadDecodeMalformed(t *testing.T) {
 func TestStoreKeyedRecordsSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	appendRec := func(script string, keys ...string) {
+	appendRec := func(version uint64, script string, keys ...string) {
 		t.Helper()
-		wait, err := s.AppendRecordAsync(script, keys)
+		wait, err := s.AppendVersionedAsync(version, script, keys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,9 +519,9 @@ func TestStoreKeyedRecordsSurviveReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	appendRec("+p(1).", "key-1")
-	appendRec("+p(2).") // keyless, interleaved
-	appendRec("+p(3). +p(4).", "key-3a", "key-3b")
+	appendRec(7, "+p(1).", "key-1")
+	appendRec(8, "+p(2).") // keyless, interleaved
+	appendRec(9, "+p(3). +p(4).", "key-3a", "key-3b")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -506,18 +532,17 @@ func TestStoreKeyedRecordsSurviveReopen(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("records: %+v", recs)
 	}
-	if recs[0].Script != "+p(1)." || len(recs[0].Keys) != 1 || recs[0].Keys[0] != "key-1" {
+	if recs[0].Script != "+p(1)." || len(recs[0].Keys) != 1 || recs[0].Keys[0] != "key-1" || recs[0].Version != 7 {
 		t.Fatalf("record 0: %+v", recs[0])
 	}
-	if recs[1].Script != "+p(2)." || len(recs[1].Keys) != 0 {
+	if recs[1].Script != "+p(2)." || len(recs[1].Keys) != 0 || recs[1].Version != 8 {
 		t.Fatalf("record 1: %+v", recs[1])
 	}
-	if recs[2].Script != "+p(3). +p(4)." || len(recs[2].Keys) != 2 || recs[2].Keys[1] != "key-3b" {
+	if recs[2].Script != "+p(3). +p(4)." || len(recs[2].Keys) != 2 || recs[2].Keys[1] != "key-3b" || recs[2].Version != 9 {
 		t.Fatalf("record 2: %+v", recs[2])
 	}
-	// Scripts() must agree with the keyed view for replay call sites
-	// that only need the text.
-	if sc := s2.Scripts(); len(sc) != 3 || sc[2] != "+p(3). +p(4)." {
-		t.Fatalf("scripts: %v", sc)
+	// Records hands the records over: the store keeps no reference.
+	if again := s2.Records(); again != nil {
+		t.Fatalf("second Records call returned %d records, want none", len(again))
 	}
 }

@@ -1244,7 +1244,7 @@ func (v *Views) ruleEditCommittedLocked(ch *dred.Changes) (*ChangeSet, error) {
 	// of this edit saw it.
 	nextID := v.cur.Load().id + 1
 	if v.store != nil {
-		if err := v.store.CheckpointAt(v.db(), v.programSrc, v.hiddenLocked(), nextID); err != nil {
+		if err := v.checkpointLocked(v.store, nextID); err != nil {
 			v.wmu.Unlock()
 			return nil, fmt.Errorf("ivm: rule change applied in memory but checkpoint failed: %w", err)
 		}
@@ -1313,105 +1313,36 @@ func (v *Views) Metrics() MetricsSnapshot {
 	return v.reg.Snapshot()
 }
 
-// Save snapshots the views' storage (base + derived relations with
-// counts), program text, and hidden-predicate set to path. The write is
-// atomic and durable (temp file fsync + rename + directory fsync).
+// Save writes the views' full state — base relations with counts,
+// program text, hidden-predicate set, published version and engine
+// configuration — to path with the state codec checkpoints use. The
+// write is atomic and durable (temp file fsync + rename + directory
+// fsync).
 func (v *Views) Save(path string) error {
 	if v.pf != nil {
 		return fmt.Errorf("ivm: Save is not supported for the PF baseline")
 	}
-	v.wmu.Lock()
-	defer v.wmu.Unlock()
-	return storage.SaveFile(path, v.db(), v.programSrc, v.hiddenLocked())
+	return storage.SaveFileAt(path, v.Snapshot().state())
 }
 
-// LoadViews restores a snapshot saved by Views.Save, rematerializing the
-// views over the restored base relations. The hidden-predicate set (the
-// auxiliary predicates of SQL-defined views) is restored with it, so
-// change sets stay filtered exactly as before the save.
+// LoadViews restores a state saved by Views.Save, rematerializing the
+// views over the restored base relations at the saved version. The
+// hidden-predicate set (the auxiliary predicates of SQL-defined views)
+// is restored with it, so change sets stay filtered exactly as before
+// the save. opts apply first; the saved strategy and semantics last.
 func LoadViews(path string, opts ...Option) (*Views, error) {
-	db, programSrc, hidden, err := storage.LoadFile(path)
+	st, err := storage.LoadFileAt(path)
 	if err != nil {
 		return nil, err
 	}
-	return viewsFromSnapshot(db, programSrc, hidden, opts)
+	return viewsFromSnapshot(st, opts)
 }
 
-// viewsFromSnapshot rematerializes views from decoded snapshot contents:
-// the non-derived relations seed a fresh database and the program is
-// parsed and materialized over it.
-func viewsFromSnapshot(db *eval.DB, programSrc string, hidden []string, opts []Option) (*Views, error) {
-	res, err := parser.Parse(programSrc)
-	if err != nil {
-		return nil, err
-	}
-	d := NewDatabase()
-	derived := res.Program.DerivedPreds()
-	for _, pred := range db.Preds() {
-		if !derived[pred] {
-			d.base.Put(pred, db.Get(pred))
-		}
-	}
-	v, err := d.MaterializeProgram(res.Program, programSrc, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if len(hidden) > 0 {
-		v.hidden = make(map[string]bool, len(hidden))
-		for _, p := range hidden {
-			v.hidden[p] = true
-		}
-	}
-	return v, nil
-}
-
-// RecoveryInfo describes what OpenStore found in the store directory.
-type RecoveryInfo struct {
-	// Epoch is the checkpoint epoch recovery started from.
-	Epoch uint64
-	// Replayed is the number of WAL delta scripts reapplied on top of
-	// the snapshot.
-	Replayed int
-	// SkippedStale counts WAL records from older epochs (a crash hit
-	// the window between checkpoint rename and WAL truncate; they are
-	// already in the snapshot and must not be double-applied).
-	SkippedStale int
-	// TornTail reports that an incomplete final record was discarded (a
-	// crash mid-append; the record was never acknowledged).
-	TornTail bool
-	// CorruptRecords counts checksum failures mid-log: in-place
-	// corruption. Nonzero only under WithWALRepair, where replay stops
-	// at the first one and keeps the valid prefix; without the opt-in,
-	// OpenStore fails on mid-log corruption instead of discarding
-	// acknowledged records.
-	CorruptRecords int
-	// BadSnapshots counts snapshot files that failed to decode and were
-	// set aside (recovery fell back to an older epoch).
-	BadSnapshots int
-	// Initialized reports that the store was empty and init() built the
-	// initial views (checkpointed as epoch 1).
-	Initialized bool
-}
-
-func (ri RecoveryInfo) String() string {
-	if ri.Initialized {
-		return "initialized (epoch 1)"
-	}
-	s := fmt.Sprintf("epoch=%d replayed=%d", ri.Epoch, ri.Replayed)
-	if ri.SkippedStale > 0 {
-		s += fmt.Sprintf(" skipped_stale=%d", ri.SkippedStale)
-	}
-	if ri.TornTail {
-		s += " torn_tail"
-	}
-	if ri.CorruptRecords > 0 {
-		s += fmt.Sprintf(" corrupt_records=%d", ri.CorruptRecords)
-	}
-	if ri.BadSnapshots > 0 {
-		s += fmt.Sprintf(" bad_snapshots=%d", ri.BadSnapshots)
-	}
-	return s
-}
+// RecoveryInfo describes what OpenStore found in the store directory:
+// the checkpoint epoch recovery started from, the WAL records replayed
+// and skipped, any torn tail or repaired corruption, snapshots set
+// aside, and whether init seeded an empty store.
+type RecoveryInfo = storage.RecoveryInfo
 
 // OpenStore opens (creating if needed) the crash-recovery store in dir
 // and restores views from it: the newest valid snapshot is loaded,
@@ -1429,33 +1360,22 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
-	si := st.Recovery()
-	info := RecoveryInfo{
-		Epoch:          si.Epoch,
-		Replayed:       si.Replayed,
-		SkippedStale:   si.SkippedStale,
-		TornTail:       si.TornTail,
-		CorruptRecords: si.CorruptRecords,
-		BadSnapshots:   si.BadSnapshots,
-	}
+	info := st.Recovery()
 	fail := func(err error) (*Views, RecoveryInfo, error) {
 		st.Close()
 		return nil, info, err
 	}
 	var v *Views
-	if db, programSrc, hidden, ok := st.Snapshot(); ok {
-		v, err = viewsFromSnapshot(db, programSrc, hidden, opts)
+	if snap := st.Snapshot(); snap != nil {
+		// The checkpoint carries the version its state was published as,
+		// and viewsFromSnapshot publishes the rematerialized views at it.
+		// Each WAL record then republishes its original version — the
+		// durable commit order survives the crash, which is what lets a
+		// follower resume replication across a primary restart without
+		// a gap.
+		v, err = viewsFromSnapshot(snap, opts)
 		if err != nil {
 			return fail(err)
-		}
-		// Version alignment: the checkpoint carries the version its state
-		// was published as, so the rematerialized views (which restart at
-		// version 1) are seeded up to it before replay. Each versioned
-		// WAL record then republishes its original version — the durable
-		// commit order survives the crash, which is what lets a follower
-		// resume replication across a primary restart without a gap.
-		if base := st.SnapshotBaseVersion(); base > v.cur.Load().id {
-			v.SeedVersion(base)
 		}
 		// Replay happens before the views are store-bound, so the
 		// records are not re-appended to the WAL they came from. Each
@@ -1469,26 +1389,22 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 			if err != nil {
 				return fail(fmt.Errorf("ivm: replaying WAL record %d: %w", i+1, err))
 			}
-			if rec.Version > 0 {
-				switch cur := v.cur.Load().id; {
-				case cur < rec.Version-1:
-					// A version hole before this record: its predecessors
-					// were written but lost (e.g. a repaired-away corrupt
-					// stretch). The surviving record is still authoritative
-					// for its own version, so seed up to its predecessor
-					// rather than replay it under the wrong number.
-					v.SeedVersion(rec.Version - 1)
-				case cur > rec.Version-1:
-					return fail(fmt.Errorf("ivm: WAL record %d is stamped version %d but recovery is already at %d; the log does not match its checkpoint", i+1, rec.Version, cur))
-				}
+			switch cur := v.cur.Load().id; {
+			case cur < rec.Version-1:
+				// A version hole before this record: its predecessors
+				// were written but lost (e.g. a repaired-away corrupt
+				// stretch). The surviving record is still authoritative
+				// for its own version, so seed up to its predecessor
+				// rather than replay it under the wrong number.
+				v.SeedVersion(rec.Version - 1)
+			case cur > rec.Version-1:
+				return fail(fmt.Errorf("ivm: WAL record %d is stamped version %d but recovery is already at %d; the log does not match its checkpoint", i+1, rec.Version, cur))
 			}
 			if _, _, err := v.submit(u, rec.Keys); err != nil {
 				return fail(fmt.Errorf("ivm: replaying WAL record %d: %w", i+1, err))
 			}
-			if rec.Version > 0 {
-				if got := v.cur.Load().id; got != rec.Version {
-					return fail(fmt.Errorf("ivm: replaying WAL record %d published version %d, want %d", i+1, got, rec.Version))
-				}
+			if got := v.cur.Load().id; got != rec.Version {
+				return fail(fmt.Errorf("ivm: replaying WAL record %d published version %d, want %d", i+1, got, rec.Version))
 			}
 		}
 	} else {
@@ -1512,7 +1428,7 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 	if info.Initialized {
 		// Checkpoint immediately so a snapshot always exists: from here
 		// on every WAL record has an epoch-stamped snapshot beneath it.
-		if err := st.CheckpointAt(v.db(), v.programSrc, v.hiddenLocked(), v.cur.Load().id); err != nil {
+		if err := v.checkpointLocked(st, v.cur.Load().id); err != nil {
 			v.wmu.Unlock()
 			return fail(err)
 		}
@@ -1540,8 +1456,8 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 	return v, info, nil
 }
 
-// Sync checkpoints store-bound views: the full state (base + derived
-// relations, program text, hidden set) is written as a new snapshot
+// Sync checkpoints store-bound views: the full state (base relations,
+// program text, hidden set, version) is written as a new snapshot
 // epoch — temp file fsync, rename, directory fsync — and only then is
 // the WAL truncated, so a crash anywhere in the sequence never
 // double-applies a delta.
@@ -1551,7 +1467,14 @@ func (v *Views) Sync() error {
 	}
 	v.wmu.Lock()
 	defer v.wmu.Unlock()
-	return v.store.CheckpointAt(v.db(), v.programSrc, v.hiddenLocked(), v.cur.Load().id)
+	return v.checkpointLocked(v.store, v.cur.Load().id)
+}
+
+// checkpointLocked writes the engine's stored base relations to st as a
+// new epoch stamped with version (write lock held). Derived relations
+// stay out of the checkpoint: recovery rematerializes them.
+func (v *Views) checkpointLocked(st *storage.Store, version uint64) error {
+	return st.CheckpointAt(baseOnly(v.db(), v.progLocked()), v.programSrc, v.hiddenLocked(), version)
 }
 
 // Store reports whether the views are bound to a crash-recovery store
@@ -1641,7 +1564,7 @@ func (v *Views) Shutdown() error {
 	if v.store == nil || v.store.Closed() {
 		return nil
 	}
-	if err := v.store.CheckpointAt(v.db(), v.programSrc, v.hiddenLocked(), v.cur.Load().id); err != nil {
+	if err := v.checkpointLocked(v.store, v.cur.Load().id); err != nil {
 		// Close anyway: the WAL already holds every acked apply, so
 		// recovery replays to the same state; the checkpoint was only an
 		// optimization. Surface the checkpoint error over Close's.

@@ -99,3 +99,42 @@ func TestShutdownCheckpointsAndCloses(t *testing.T) {
 		t.Fatal("state lost across Shutdown + recovery")
 	}
 }
+
+// TestOpenStoreReleasesRecoveredState: recovery hands the decoded
+// snapshot and the replayed WAL records to the views once; the store
+// keeps no reference to them, so a process that recovered from a long
+// WAL does not hold every replayed script for its lifetime.
+func TestOpenStoreReleasesRecoveredState(t *testing.T) {
+	dir := t.TempDir()
+	v, _, err := OpenStore(dir, func() (*Views, error) {
+		db := NewDatabase()
+		db.MustLoad(`link(a,b). link(b,c).`)
+		return db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := v.Apply(NewUpdate().Insert("link", "c", fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	v2, info, err := OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v2.Close()
+	if info.Replayed != 3 {
+		t.Fatalf("replayed %d records, want 3", info.Replayed)
+	}
+	if st := v2.store.Snapshot(); st != nil {
+		t.Fatal("the store still references the recovered snapshot")
+	}
+	if recs := v2.store.Records(); recs != nil {
+		t.Fatalf("the store still references %d replayed records", len(recs))
+	}
+}

@@ -1,97 +1,139 @@
 package ivm
 
-// Replica-state transfer: the full-state form of a Views that a
-// replication follower uses to bootstrap (or resynchronize) before
-// tailing delta records. The state ships as program text plus a facts
-// delta script — the same textual forms the WAL and checkpoints already
-// round-trip — so a follower rebuilding from it converges bit-identical
-// to the primary at the stamped version.
+// Full-state transfer. A Views travels between processes in one form,
+// the state codec of internal/storage: the stored base relations with
+// their counts, the program, the hidden set, the published version and
+// the engine configuration. Store checkpoints, Views.Save and
+// replication 'S' records all encode it, and every reader rebuilds its
+// views from it through viewsFromSnapshot — derived relations are a
+// function of the base relations and the program (Theorem 4.1), so they
+// are never shipped.
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
+	"ivm/internal/datalog"
 	"ivm/internal/eval"
+	"ivm/internal/parser"
+	"ivm/internal/storage"
 )
 
-// ReplicaState is everything a follower needs to reproduce a primary's
-// Views at one version: the program, the stored base facts (as an
-// insert-only delta script, counts included), the hidden-predicate set,
-// and the engine configuration that must match for derived state to be
-// bit-identical.
-type ReplicaState struct {
-	Program   string
-	Hidden    []string
-	Facts     string
-	Strategy  string
-	Semantics string
-}
-
-// ReplicaState captures the snapshot's full state for replication
-// transfer. Facts covers exactly the non-derived stored relations; the
-// derived relations are reproduced by materializing Program over them.
-func (s *Snapshot) ReplicaState() ReplicaState {
+// baseRelations returns the snapshot's stored base relations: every
+// relation the program does not derive.
+func (s *Snapshot) baseRelations() *eval.DB {
 	derived := s.v.prog.DerivedPreds()
-	u := NewUpdate()
+	db := eval.NewDB()
 	for pred, vr := range s.v.rels {
-		if derived[pred] {
-			continue
-		}
-		for _, row := range vr.Flat().SortedRows() {
-			u.InsertTuple(pred, row.Tuple, row.Count)
+		if !derived[pred] {
+			db.Put(pred, vr.Flat())
 		}
 	}
-	return ReplicaState{
-		Program:   s.v.programSrc,
-		Hidden:    s.views.hiddenLocked(),
-		Facts:     u.String(),
-		Strategy:  s.views.strategy.String(),
-		Semantics: s.views.cfg.semantics.String(),
+	return db
+}
+
+// baseOnly returns the relations of db that prog does not derive.
+func baseOnly(db *eval.DB, prog *datalog.Program) *eval.DB {
+	derived := prog.DerivedPreds()
+	out := eval.NewDB()
+	for _, pred := range db.Preds() {
+		if !derived[pred] {
+			out.Put(pred, db.Get(pred))
+		}
+	}
+	return out
+}
+
+// state captures the snapshot as the state codec's image.
+func (s *Snapshot) state() *storage.State {
+	return &storage.State{
+		Base:        s.baseRelations(),
+		Program:     s.v.programSrc,
+		Hidden:      s.views.hiddenLocked(),
+		BaseVersion: s.v.id,
+		Strategy:    s.views.strategy.String(),
+		Semantics:   s.views.cfg.semantics.String(),
 	}
 }
 
-// replicaConfigOptions maps a ReplicaState's engine configuration back
-// to materialization options.
-func replicaConfigOptions(st ReplicaState) ([]Option, error) {
-	opts := make([]Option, 0, 2)
-	switch st.Strategy {
-	case "", "auto":
-	case Counting.String():
-		opts = append(opts, WithStrategy(Counting))
-	case DRed.String():
-		opts = append(opts, WithStrategy(DRed))
-	case Recompute.String():
-		opts = append(opts, WithStrategy(Recompute))
-	case PF.String():
-		opts = append(opts, WithStrategy(PF))
-	default:
-		return nil, fmt.Errorf("ivm: replica state names unknown strategy %q", st.Strategy)
+// MarshalState encodes the snapshot's full state with the state codec:
+// the payload of a replication 'S' record, read back by ViewsFromState
+// and ResetToState.
+func (s *Snapshot) MarshalState() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := storage.SaveAt(&buf, s.state()); err != nil {
+		return nil, err
 	}
-	switch st.Semantics {
-	case "", eval.Set.String():
-		opts = append(opts, WithSemantics(SetSemantics))
-	case eval.Duplicate.String():
-		opts = append(opts, WithSemantics(DuplicateSemantics))
-	default:
-		return nil, fmt.Errorf("ivm: replica state names unknown semantics %q", st.Semantics)
-	}
-	return opts, nil
+	return buf.Bytes(), nil
 }
 
-// ViewsFromReplicaState materializes fresh Views from a transferred
-// state. extra options are applied first (parallelism, tracing, ...);
-// the state's strategy and semantics are applied last, since derived
-// state is bit-identical to the sender's only under the same engine
-// configuration.
-func ViewsFromReplicaState(st ReplicaState, extra ...Option) (*Views, error) {
-	cfgOpts, err := replicaConfigOptions(st)
+// ViewsFromState materializes fresh views from a state encoded by
+// MarshalState, published at the state's version. extra options are
+// applied first (parallelism, tracing, ...); the state's strategy and
+// semantics are applied last, since derived state is bit-identical to
+// the sender's only under the same engine configuration.
+func ViewsFromState(data []byte, extra ...Option) (*Views, error) {
+	st, err := storage.LoadAt(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
-	d := NewDatabase()
-	if err := d.Load(st.Facts); err != nil {
-		return nil, fmt.Errorf("ivm: loading replica state facts: %w", err)
+	return viewsFromSnapshot(st, extra)
+}
+
+// ResetToState replaces the views' stored base facts with those of a
+// state encoded by MarshalState, wholesale, and republishes at the
+// state's version — a follower's resynchronization path when it is too
+// far behind to bridge with deltas. The replacement runs as one Apply
+// (delete every stored base row, insert every transferred row,
+// net-merged), so readers observe a single atomic step from the old
+// state to the new one and the engine re-derives the views
+// incrementally from the net difference. The program must be
+// unchanged: a program edit changes the rule set the engine was
+// compiled for, so the caller must rebuild with ViewsFromState instead.
+func (v *Views) ResetToState(data []byte) error {
+	st, err := storage.LoadAt(bytes.NewReader(data))
+	if err != nil {
+		return err
 	}
-	v, err := d.Materialize(st.Program, append(append([]Option(nil), extra...), cfgOpts...)...)
+	if st.Program != v.ProgramSource() {
+		return fmt.Errorf("ivm: state carries a different program; rebuild the views instead of resetting")
+	}
+	snap := v.Snapshot()
+	u := NewUpdate()
+	add := func(db *eval.DB, sign int64) {
+		for _, pred := range db.Preds() {
+			for _, row := range db.Get(pred).SortedRows() {
+				u.InsertTuple(pred, row.Tuple, sign*row.Count)
+			}
+		}
+	}
+	add(snap.baseRelations(), -1)
+	add(baseOnly(st.Base, snap.v.prog), 1)
+	if _, err := v.Apply(u); err != nil {
+		return fmt.Errorf("ivm: applying state reset: %w", err)
+	}
+	v.SeedVersion(st.BaseVersion)
+	return nil
+}
+
+// viewsFromSnapshot rematerializes views from a decoded state — the one
+// path recovery, LoadViews and replication followers share. The
+// non-derived relations seed a fresh database, the program is
+// materialized over them with opts followed by the state's recorded
+// engine configuration, and the result is published at the state's
+// version.
+func viewsFromSnapshot(st *storage.State, opts []Option) (*Views, error) {
+	cfgOpts, err := stateConfigOptions(st)
+	if err != nil {
+		return nil, err
+	}
+	res, err := parser.Parse(st.Program)
+	if err != nil {
+		return nil, err
+	}
+	d := &Database{base: baseOnly(st.Base, res.Program)}
+	v, err := d.MaterializeProgram(res.Program, st.Program, append(append([]Option(nil), opts...), cfgOpts...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -101,54 +143,46 @@ func ViewsFromReplicaState(st ReplicaState, extra ...Option) (*Views, error) {
 			v.hidden[p] = true
 		}
 	}
+	if st.BaseVersion > v.cur.Load().id {
+		v.SeedVersion(st.BaseVersion)
+	}
 	return v, nil
 }
 
-// ResetToReplicaState replaces the views' stored facts with st's,
-// wholesale, and seeds the published version to version — a follower's
-// resynchronization path when it is too far behind to bridge with
-// deltas. The replacement runs as one Apply (delete every stored base
-// row, insert every transferred row, net-merged), so readers observe a
-// single atomic step from the old state to the new one; the engine
-// re-derives the views incrementally from the net difference. The
-// program must be unchanged: a program edit changes the rule set the
-// engine was compiled for, so the caller must rebuild with
-// ViewsFromReplicaState instead.
-func (v *Views) ResetToReplicaState(st ReplicaState, version uint64) error {
-	if st.Program != v.ProgramSource() {
-		return fmt.Errorf("ivm: replica state carries a different program; rebuild the views instead of resetting")
-	}
-	incoming, err := ParseUpdate(st.Facts)
-	if err != nil {
-		return fmt.Errorf("ivm: parsing replica state facts: %w", err)
-	}
-	snap := v.Snapshot()
-	derived := snap.v.prog.DerivedPreds()
-	u := NewUpdate()
-	for pred, vr := range snap.v.rels {
-		if derived[pred] {
-			continue
+// stateConfigOptions maps a state's recorded engine configuration names
+// back to options. Empty names were not recorded and map to nothing.
+func stateConfigOptions(st *storage.State) ([]Option, error) {
+	var opts []Option
+	if st.Strategy != "" {
+		i := slices.IndexFunc(strategies, func(s Strategy) bool { return s.String() == st.Strategy })
+		if i < 0 {
+			return nil, fmt.Errorf("ivm: state names unknown strategy %q", st.Strategy)
 		}
-		for _, row := range vr.Flat().SortedRows() {
-			u.InsertTuple(pred, row.Tuple, -row.Count)
+		opts = append(opts, WithStrategy(strategies[i]))
+	}
+	if st.Semantics != "" {
+		i := slices.IndexFunc(semanticsAll, func(s Semantics) bool { return s.String() == st.Semantics })
+		if i < 0 {
+			return nil, fmt.Errorf("ivm: state names unknown semantics %q", st.Semantics)
 		}
+		opts = append(opts, WithSemantics(semanticsAll[i]))
 	}
-	u.Merge(incoming)
-	if _, err := v.Apply(u); err != nil {
-		return fmt.Errorf("ivm: applying replica state reset: %w", err)
-	}
-	v.SeedVersion(version)
-	return nil
+	return opts, nil
 }
+
+// strategies and semanticsAll list the configurations a state may name.
+var (
+	strategies   = []Strategy{Counting, DRed, Recompute, PF}
+	semanticsAll = []Semantics{SetSemantics, DuplicateSemantics}
+)
 
 // CommittedRecordsAfter returns the WAL-backed commit records stamped
 // with versions greater than fromExcl, in version order — the
 // replication backfill source when a follower's resume point has aged
 // out of the in-memory window. ok is false for views without a store
-// (nothing durable to read). Records written before version stamping
-// are skipped; the caller must check the returned sequence is
-// contiguous from its resume point and fall back to a full state
-// transfer when it is not.
+// (nothing durable to read). The caller must check the returned
+// sequence is contiguous from its resume point and fall back to a full
+// state transfer when it is not.
 func (v *Views) CommittedRecordsAfter(fromExcl uint64) (recs []CommitRecord, ok bool, err error) {
 	v.wmu.Lock()
 	st := v.store
@@ -161,9 +195,6 @@ func (v *Views) CommittedRecordsAfter(fromExcl uint64) (recs []CommitRecord, ok 
 		return nil, true, err
 	}
 	for _, r := range wrecs {
-		if r.Version == 0 {
-			continue
-		}
 		recs = append(recs, CommitRecord{Version: r.Version, Script: r.Script, Keys: r.Keys})
 	}
 	return recs, true, nil

@@ -2,8 +2,12 @@ package ivm
 
 import (
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
+
+	"ivm/internal/storage"
 )
 
 // Versions must survive a checkpoint + restart: the durable commit
@@ -162,53 +166,175 @@ func TestWaitForVersion(t *testing.T) {
 	}
 }
 
+// TestReplicaStateRoundTrip drives the state codec through a
+// follower's two uses of it — bootstrap and mid-stream reset — for each
+// engine configuration, requiring bit-identical views every time.
 func TestReplicaStateRoundTrip(t *testing.T) {
-	d := NewDatabase()
-	d.MustLoad(`link(a,b). link(b,c). link(b,e) * 3. weight(a, 2).`)
-	v, err := d.Materialize("hop(X,Y) :- link(X,Z), link(Z,Y).")
+	cases := []struct {
+		name    string
+		build   func() (*Views, error)
+		advance []*Update
+	}{
+		{
+			name: "counting with counts",
+			build: func() (*Views, error) {
+				d := NewDatabase()
+				d.MustLoad(`link(a,b). link(b,c). link(b,e) * 3. weight(a, 2).`)
+				return d.Materialize("hop(X,Y) :- link(X,Z), link(Z,Y).")
+			},
+			advance: []*Update{
+				NewUpdate().Insert("link", "c", "d"),
+				NewUpdate().Delete("link", "a", "b").Insert("link", "e", "f"),
+			},
+		},
+		{
+			name: "dred recursive with groupby",
+			build: func() (*Views, error) {
+				d := NewDatabase()
+				d.MustLoad(`link(a,b). link(b,c). link(c,a). link(c,d).`)
+				return d.Materialize(`
+					reach(X,Y) :- link(X,Y).
+					reach(X,Y) :- link(X,Z), reach(Z,Y).
+					fanout(X,C) :- groupby(reach(X,Y), [X], C = count(Y)).
+				`, WithStrategy(DRed))
+			},
+			advance: []*Update{
+				NewUpdate().Insert("link", "d", "e"),
+				NewUpdate().Delete("link", "c", "a").Insert("link", "e", "b"),
+			},
+		},
+		{
+			name: "sql with hidden predicates",
+			build: func() (*Views, error) {
+				return NewDatabase().MaterializeSQL(`
+					CREATE TABLE link(s, d);
+					INSERT INTO link VALUES ('a','b'), ('b','c'), ('a','c');
+					CREATE VIEW deg(s, n) AS SELECT s, COUNT(*) AS n FROM link GROUP BY s;
+				`)
+			},
+			advance: []*Update{
+				NewUpdate().Insert("link", "b", "d"),
+				NewUpdate().Delete("link", "a", "b").Insert("link", "c", "a"),
+			},
+		},
+		{
+			name: "duplicate semantics",
+			build: func() (*Views, error) {
+				d := NewDatabase()
+				d.MustLoad(`link(a,b) * 2. link(b,c). link(b,d) * 3.`)
+				return d.Materialize("hop(X,Y) :- link(X,Z), link(Z,Y).", WithSemantics(DuplicateSemantics))
+			},
+			advance: []*Update{
+				NewUpdate().InsertTuple("link", T("c", "d"), 2),
+				NewUpdate().Delete("link", "a", "b").Insert("link", "d", "a"),
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			primary, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := primary.Apply(tc.advance[0]); err != nil {
+				t.Fatal(err)
+			}
+			// Bootstrap, with a conflicting strategy among the follower's
+			// own options: the state's configuration wins.
+			snap := primary.Snapshot()
+			data, err := snap.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			follower, err := ViewsFromState(data, WithStrategy(Recompute))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if follower.Strategy() != primary.Strategy() || follower.Semantics() != primary.Semantics() {
+				t.Fatalf("follower runs %v/%v, primary %v/%v",
+					follower.Strategy(), follower.Semantics(), primary.Strategy(), primary.Semantics())
+			}
+			if fh, ph := follower.hiddenLocked(), primary.hiddenLocked(); strings.Join(fh, ",") != strings.Join(ph, ",") {
+				t.Fatalf("hidden predicates: follower %v, primary %v", fh, ph)
+			}
+			assertViewsIdentical(t, snap, follower.Snapshot())
+
+			// Mid-stream reset: advance the primary, reset the follower to
+			// the new state.
+			if _, err := primary.Apply(tc.advance[1]); err != nil {
+				t.Fatal(err)
+			}
+			snap = primary.Snapshot()
+			if data, err = snap.MarshalState(); err != nil {
+				t.Fatal(err)
+			}
+			if err := follower.ResetToState(data); err != nil {
+				t.Fatal(err)
+			}
+			assertViewsIdentical(t, snap, follower.Snapshot())
+
+			// A reset under a different program must be refused.
+			other, err := NewDatabase().Materialize("other(X,Y) :- link(X,Y).")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := other.ResetToState(data); err == nil {
+				t.Fatal("reset accepted a different program")
+			}
+		})
+	}
+}
+
+// A checkpoint holds base relations only: derived ones are
+// rematerialized on every load.
+func TestCheckpointHoldsNoDerivedPredicates(t *testing.T) {
+	dir := t.TempDir()
+	v, _, err := OpenStore(dir, func() (*Views, error) {
+		d := NewDatabase()
+		d.MustLoad("link(a,b). link(b,c).")
+		return d.Materialize("hop(X,Y) :- link(X,Z), link(Z,Y). tri(X,Y) :- hop(X,Z), link(Z,Y).")
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.Apply(NewUpdate().Insert("link", "c", "d")); err != nil {
 		t.Fatal(err)
 	}
-	snap := v.Snapshot()
-	st := snap.ReplicaState()
-	follower, err := ViewsFromReplicaState(st)
-	if err != nil {
+	if err := v.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	follower.SeedVersion(snap.Version())
-	assertViewsIdentical(t, snap, follower.Snapshot())
-
-	// Resync: advance the primary, reset the follower to the new state.
-	if _, err := v.Apply(NewUpdate().Delete("link", "a", "b").Insert("link", "e", "f")); err != nil {
-		t.Fatal(err)
+	paths, err := filepath.Glob(filepath.Join(dir, "snapshot-*.gob"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no checkpoint written (%v)", err)
 	}
-	snap = v.Snapshot()
-	if err := follower.ResetToReplicaState(snap.ReplicaState(), snap.Version()); err != nil {
-		t.Fatal(err)
-	}
-	assertViewsIdentical(t, snap, follower.Snapshot())
-
-	// A reset under a different program must be refused.
-	other, err := NewDatabase().Materialize("reach(X,Y) :- link(X,Y).")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.ResetToReplicaState(snap.ReplicaState(), snap.Version()); err == nil {
-		t.Fatal("reset accepted a different program")
+	for _, path := range paths {
+		st, err := storage.LoadFileAt(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if preds := st.Base.Preds(); len(preds) != 1 || preds[0] != "link" {
+			t.Fatalf("%s holds %v, want only the base relation link", filepath.Base(path), preds)
+		}
 	}
 }
 
 // assertViewsIdentical requires rows, counts, and version to agree
-// between two snapshots across every predicate either side stores.
+// between two snapshots across every predicate either side stores,
+// hidden ones included.
 func assertViewsIdentical(t *testing.T, want, got *Snapshot) {
 	t.Helper()
 	if want.Version() != got.Version() {
 		t.Fatalf("versions differ: %d != %d", want.Version(), got.Version())
 	}
-	wp, gp := want.Preds(), got.Preds()
+	storedPreds := func(s *Snapshot) []string {
+		out := make([]string, 0, len(s.v.rels))
+		for p := range s.v.rels {
+			out = append(out, p)
+		}
+		sort.Strings(out)
+		return out
+	}
+	wp, gp := storedPreds(want), storedPreds(got)
 	if len(wp) != len(gp) {
 		t.Fatalf("predicate sets differ: %v != %v", wp, gp)
 	}

@@ -453,3 +453,123 @@ func TestOpenStoreWALRepairOptIn(t *testing.T) {
 	}
 	requireSameState(t, v2, groundTruth(t, storeTestScripts[:1]))
 }
+
+// copyFixture copies a store fixture from testdata/prevformat into a
+// fresh directory.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
+	src := filepath.Join("testdata", "prevformat", name)
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// readDir returns every file in dir by name.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+// The fixtures under testdata/prevformat were written by the release
+// before the current persistence format: a store initialized from
+// storeTestProgram and storeTestFacts, with storeTestScripts applied
+// under idempotency keys key-0..key-3 (versions 2..5). "clean" was then
+// stopped with Shutdown — a footed checkpoint holding derived rows and
+// an empty WAL — and "unclean" with Close, leaving the applies as WAL
+// records in the earlier layout.
+const prevFormatVersion = 5
+
+func TestOpenStoreParentFormatCleanShutdown(t *testing.T) {
+	dir := copyFixture(t, "clean")
+	v, info, err := ivm.OpenStore(dir, noInit(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Replayed != 0 || info.BadSnapshots != 0 {
+		t.Fatalf("info: %+v", info)
+	}
+	requireSameState(t, v, groundTruth(t, storeTestScripts))
+	if got := v.Snapshot().Version(); got != prevFormatVersion {
+		t.Fatalf("version %d, want %d", got, prevFormatVersion)
+	}
+	// The upgraded store keeps going: new applies land in the current
+	// WAL layout and replay on the next open.
+	if _, err := v.ApplyScript("+link(f,g)."); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v2, info, err := ivm.OpenStore(dir, noInit(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v2.Close()
+	if info.Replayed != 1 || v2.Snapshot().Version() != prevFormatVersion+1 {
+		t.Fatalf("after upgrade: info %+v, version %d", info, v2.Snapshot().Version())
+	}
+	requireSameState(t, v2, groundTruth(t, append(append([]string(nil), storeTestScripts...), "+link(f,g).")))
+}
+
+func TestOpenStoreRefusesPreCutoffFormats(t *testing.T) {
+	for name, prepare := range map[string]func(t *testing.T) string{
+		"pre-cutoff wal records": func(t *testing.T) string { return copyFixture(t, "unclean") },
+		"footerless snapshot": func(t *testing.T) string {
+			dir := copyFixture(t, "clean")
+			path := filepath.Join(dir, "snapshot-2.gob")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data[:len(data)-8], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := prepare(t)
+			before := readDir(t, dir)
+			_, _, err := ivm.OpenStore(dir, noInit(t), ivm.WithWALRepair())
+			if err == nil {
+				t.Fatal("OpenStore accepted a pre-cutoff store")
+			}
+			if !strings.Contains(err.Error(), "shut the store down cleanly with the previous release") {
+				t.Fatalf("error does not name the upgrade step: %v", err)
+			}
+			after := readDir(t, dir)
+			if len(after) != len(before) {
+				t.Fatalf("files changed: %d before, %d after", len(before), len(after))
+			}
+			for name, data := range before {
+				if after[name] != data {
+					t.Fatalf("%s changed on a refused open", name)
+				}
+			}
+		})
+	}
+}
